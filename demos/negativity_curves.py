@@ -3,8 +3,8 @@
 
 Prints N(t) tables for S(0.2) U(pi/3) |alpha=1> and U(pi/3) S(1) |0>, then
 locates the ordering threshold of a squeezed vacuum (closed-form boundary)
-and, with --full, of the interference states themselves (minutes, not
-seconds: the search has to certify N <= 1e-9 all the way down to t = -1).
+and, with --full, of the interference states themselves (seconds each:
+the search has to certify N <= 1e-9 all the way down to t = -1).
 
 Run:  python demos/negativity_curves.py [--full] [--workers N]
 """
@@ -38,7 +38,7 @@ def show_curve(label, state, t_min, t_max, workers):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--full", action="store_true",
-                        help="also run the slow interference-state threshold searches")
+                        help="also run the interference-state threshold searches")
     parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args()
 
@@ -64,7 +64,7 @@ def main():
             print(f"  {label:26s} t_bar = {tbar:+.6f}   ({time.perf_counter()-t0:.0f}s)")
         print("  (negativity survives to the Husimi end t = -1 for both)")
     else:
-        print("  (pass --full for the interference states; each search takes minutes)")
+        print("  (pass --full for the interference states; each search takes seconds)")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ The package is layered bottom-up:
 - `phase_space`: closed-form characteristic functions and PQD grids;
 - `negativity`: negativity volumes and ordering-threshold search;
 - `simulability`: noise inequalities and the Monte-Carlo click estimator;
-- `fock_oracle`: truncated number-basis ground truth for everything above;
+- `fock_oracle`: truncated number-basis ground truth for everything above
+  (imported on first use of its names);
 - `cli`: the `kerrpqd` command.
 """
 
@@ -18,16 +19,6 @@ from .errors import (
     PqdError,
     PreconditionViolated,
     TailBoundExceeded,
-)
-from .fock_oracle import (
-    build_state,
-    oracle_char,
-    oracle_husimi,
-    oracle_loss,
-    oracle_off_probability,
-    oracle_pqd_grid,
-    verify_kerr_bch,
-    verify_u2_squeeze,
 )
 from .negativity import (
     NegativityCurve,
@@ -82,6 +73,28 @@ from .states import (
 )
 
 __version__ = "0.1.0"
+
+# The truncated-Fock oracle needs scipy.linalg, which costs more to import
+# than the rest of the package; its names resolve on first use (PEP 562).
+_FOCK_ORACLE_NAMES = (
+    "build_state",
+    "oracle_char",
+    "oracle_husimi",
+    "oracle_loss",
+    "oracle_off_probability",
+    "oracle_pqd_grid",
+    "verify_kerr_bch",
+    "verify_u2_squeeze",
+)
+
+
+def __getattr__(name):
+    if name in _FOCK_ORACLE_NAMES:
+        from . import fock_oracle
+
+        return getattr(fock_oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Branch",

@@ -23,7 +23,6 @@ import tempfile
 import numpy as np
 
 from .errors import PqdError
-from .fock_oracle import verify_kerr_bch, verify_u2_squeeze
 from .negativity import (
     TOL_T_DEFAULT,
     QuadratureSpec,
@@ -309,6 +308,8 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_verify(args) -> None:
+    from .fock_oracle import verify_kerr_bch, verify_u2_squeeze  # needs scipy.linalg
+
     lines = []
     failed = []
 

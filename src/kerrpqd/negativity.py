@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NotIntegrable, OrderingTooHigh, TailBoundExceeded
-from .phase_space import PqdFunction, _form_is_real, dyadic_char, superposition_pqd
+from .phase_space import PqdFunction, dyadic_char, superposition_pqd
 from .states import SuperpositionState, state_extents
 
 __all__ = [
@@ -49,6 +49,9 @@ TOL_T_DEFAULT = 1e-3
 _PATCH_CELLS = 4  # patch half-extent, in coarse-grid cells
 _PATCH_MIN_H = 1.5e-4  # finest local step; resolves any pocket above ~1e-10 mass
 _PATCH_FLOOR = 1e-11  # error floor charged per patch that resolves nothing
+# Grid points per evaluate_grid call: large enough to amortize the per-term
+# Python work, small enough that the kernel's temporaries stay in cache.
+_BLOCK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -111,39 +114,33 @@ class NegativityCurve:
 # ---------------------------------------------------------------------------
 
 
-def _tail_outside(terms, window: float) -> float:
-    """Upper bound on Int_{outside square} sum |f_i|, term by term.
+def _tail_outside(terms: PqdFunction, window: float) -> float:
+    """Upper bound on Int_{outside square} sum |f_k|, term by term.
 
-    Each term obeys |f(y)| = peak * e^{-(y-c)^T S (y-c)/2}; every point
-    outside the square lies at distance >= d from the center (d the
-    sup-norm gap to the nearest edge, 0 if the center is outside), so the
-    term mass is at most peak * (2 pi / lambda_min) e^{-lambda_min d^2 / 2}.
+    Each term obeys |f(y)| <= peak * e^{-(y-c)^T S (y-c)/2} (a pair's peak
+    covers both conjugates); every point outside the square lies at
+    distance >= d from the center (d the sup-norm gap to the nearest edge,
+    0 if the center is outside), so the term mass is at most
+    peak * (2 pi / lambda_min) e^{-lambda_min d^2 / 2}.
     """
-    total = 0.0
-    for term in terms:
-        peak, center, prec = term.envelope()
-        lam = float(np.linalg.eigvalsh(prec)[0])
-        if lam <= 0.0:
-            raise NotIntegrable("PQD term does not decay; tail bound undefined")
-        d = min(window - abs(center[0]), window - abs(center[1]))
-        d = max(d, 0.0)
-        total += peak * (2.0 * math.pi / lam) * math.exp(-0.5 * lam * d * d)
-    return total
+    peak, center, prec = terms.envelopes()
+    lam = np.linalg.eigvalsh(prec)[:, 0]
+    if np.any(lam <= 0.0):
+        raise NotIntegrable("PQD term does not decay; tail bound undefined")
+    d = np.maximum(np.minimum(window - np.abs(center[:, 0]), window - np.abs(center[:, 1])), 0.0)
+    return float(np.sum(peak * (2.0 * math.pi / lam) * np.exp(-0.5 * lam * d * d)))
 
 
-def _interference_terms(pqd: PqdFunction) -> tuple:
-    """Terms that can push W below zero.
+def _interference_terms(pqd: PqdFunction) -> PqdFunction | None:
+    """The off-diagonal terms, the only ones that can push W below zero.
 
-    A real form with positive prefactor is a positive Gaussian and never
-    contributes negativity on its own, so max(-W, 0) <= sum of |f_i| over
-    the remaining (interference) terms pointwise.
+    The diagonal terms are positive Gaussians, so max(-W, 0) <= sum of |f_k|
+    over the off-diagonal terms pointwise.  None for a single branch.
     """
-    out = []
-    for term in pqd.terms:
-        if _form_is_real(term) and term.prefactor.real > 0.0:
-            continue
-        out.append(term)
-    return tuple(out)
+    keep = pqd.pair
+    if not keep.any():
+        return None
+    return PqdFunction(pqd.log_pref[keep], pqd.quad[keep], pqd.lin[keep], keep[keep], pqd.ordering)
 
 
 def _pocket_window(terms, spec: QuadratureSpec) -> float:
@@ -168,12 +165,9 @@ def _pocket_window(terms, spec: QuadratureSpec) -> float:
 
 def _oscillation_scale(pqd: PqdFunction, window: float) -> float:
     """Largest phase gradient of any term inside the window (rad per unit)."""
-    worst = 0.0
-    for term in pqd.terms:
-        k = float(np.linalg.norm(term.lin.imag))
-        k += window * float(np.linalg.norm(term.quad.imag, 2))
-        worst = max(worst, k)
-    return worst
+    k = np.linalg.norm(pqd.lin.imag, axis=1)
+    k += window * np.linalg.norm(pqd.quad.imag, 2, axis=(1, 2))
+    return float(k.max())
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +225,20 @@ def _midpoint_axis(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def _negative_mass_grid(pqd: PqdFunction, x1, x2, workers: int = 1) -> float:
-    """Sum of max(-W, 0) over the tensor grid, in deterministic block order."""
-    n1 = x1.size
-    block = max(1, min(n1, 1 << 22) // max(x2.size, 1))
-    sums = []
+    """Sum of max(-W, 0) over the tensor grid.
 
-    def one(lo: int, hi: int) -> float:
+    Rows are evaluated in blocks of about _BLOCK_POINTS points; each row is
+    summed on its own and the row sums exactly (fsum), so the result does
+    not depend on the blocking or on the worker count.
+    """
+    n1 = x1.size
+    block = max(1, _BLOCK_POINTS // max(x2.size, 1))
+
+    def one(lo: int, hi: int) -> np.ndarray:
         w = pqd.evaluate_grid(x1[lo:hi], x2)
         np.negative(w, out=w)
         np.maximum(w, 0.0, out=w)
-        return float(w.sum())
+        return w.sum(axis=1)
 
     ranges = [(lo, min(lo + block, n1)) for lo in range(0, n1, block)]
     if workers > 1 and len(ranges) > 1:
@@ -250,7 +248,7 @@ def _negative_mass_grid(pqd: PqdFunction, x1, x2, workers: int = 1) -> float:
             sums = list(pool.map(lambda r: one(*r), ranges))
     else:
         sums = [one(*r) for r in ranges]
-    return math.fsum(sums)
+    return math.fsum(np.concatenate(sums))
 
 
 def _global_masked(pqd, spec, boxes, level: int, workers: int) -> float:
@@ -333,7 +331,7 @@ def negativity_volume(
     pqd = superposition_pqd(state, t)
 
     interference = _interference_terms(pqd)
-    if not interference:
+    if interference is None:
         return 0.0, 0.0
 
     tail = 2.0 * _tail_outside(interference, spec.window)

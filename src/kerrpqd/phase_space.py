@@ -10,8 +10,8 @@ and the plane-wave factor is e^{i k.x} with k = 2 R y, R = [[0, 1], [-1, 0]],
 y = (Re beta, Im beta).  Both sides are ``prefactor * exp(-x^T A x / 2 +
 L^T x)`` for a complex symmetric A, so the transform is one complete-the-
 square step.  Superpositions of squeezed coherent branches contribute one
-such form per ordered branch pair, via the dyadic characteristic function
-of S(xi_k)|alpha><gamma|S(xi_b)^dag.
+such form per branch pair, via the dyadic characteristic function of
+S(xi_k)|alpha><gamma|S(xi_b)^dag; a PqdFunction packs the conjugate pairs.
 
 Normalization anchors: vacuum Wigner (2/pi) e^{-2|beta|^2}; coherent-state
 covariance is the identity.
@@ -42,6 +42,8 @@ __all__ = [
 
 # e^{beta conj(xi) - conj(beta) xi} = e^{i (2 R y).x} for single-mode blocks
 _R_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+_LOG2 = math.log(2.0)
 
 # Positive-definiteness floor: at or past this the PQD is treated as singular.
 SINGULAR_TOL = 1e-12
@@ -99,9 +101,6 @@ class ComplexGaussianForm:
     @property
     def modes(self) -> int:
         return self.dim // 2
-
-    def scaled(self, factor: complex) -> "ComplexGaussianForm":
-        return ComplexGaussianForm(self.prefactor * factor, self.quad, self.lin)
 
     def is_integrable(self) -> bool:
         """Re(quad) positive-definite, by leading principal minors."""
@@ -233,37 +232,35 @@ class GaussianState:
 
 
 def gaussian_pqd(state: GaussianState, t_vec) -> "PqdFunction":
-    """t-ordered PQD of a Gaussian state as a single positive Gaussian term.
+    """t-ordered PQD of a single-mode Gaussian state as one positive real term.
 
-    With Sigma = sigma - s_tilde (s_tilde = t_j on mode j's 2x2 block) the
-    PQD is (2/pi)^M det(Sigma)^{-1/2} exp(-2 (y-m)^T Sigma^{-1} (y-m)), the
-    Wigner Gaussian widened (t < 0) or narrowed (t > 0) per mode.
+    With Sigma = sigma - t I the PQD is (2/pi) det(Sigma)^{-1/2}
+    exp(-2 (y-m)^T Sigma^{-1} (y-m)), the Wigner Gaussian widened (t < 0) or
+    narrowed (t > 0).
 
     Raises OrderingTooHigh once Sigma loses an eigenvalue above 1e-12: there
     the PQD degenerates to a delta-like object.
     """
-    m_modes = state.num_modes
+    if state.num_modes != 1:
+        raise ValueError("PQD terms are single-mode")
     t_arr = np.asarray(t_vec, dtype=float).reshape(-1)
-    if t_arr.size == 1:
-        t_arr = np.repeat(t_arr, m_modes)
-    if t_arr.size != m_modes:
+    if t_arr.size != 1:
         raise ValueError("ordering vector length must equal the mode count")
-    sigma = state.cov - np.kron(np.diag(t_arr), np.eye(2))
+    t = float(t_arr[0])
+    sigma = state.cov - t * np.eye(2)
     vals = np.linalg.eigvalsh(sigma)
     if vals[0] <= SINGULAR_TOL:
         raise OrderingTooHigh(
-            f"ordering {t_arr.tolist()} reaches the singular boundary "
-            f"(min eigenvalue {vals[0]:.3e})"
+            f"ordering {t!r} reaches the singular boundary (min eigenvalue {vals[0]:.3e})"
         )
     inv = np.linalg.inv(sigma)
     inv = 0.5 * (inv + inv.T)
-    det = float(np.prod(vals))
-    pref = (2.0 / math.pi) ** m_modes / math.sqrt(det) * math.exp(
-        -2.0 * float(state.mean @ inv @ state.mean)
+    log_pref = (
+        math.log(2.0 / math.pi)
+        - 0.5 * float(np.sum(np.log(vals)))
+        - 2.0 * float(state.mean @ inv @ state.mean)
     )
-    form = ComplexGaussianForm(pref, 4.0 * inv, 4.0 * inv @ state.mean)
-    ordering = float(t_arr[0]) if np.all(t_arr == t_arr[0]) else tuple(t_arr.tolist())
-    return PqdFunction((form,), ordering)
+    return PqdFunction([log_pref], [4.0 * inv], [4.0 * inv @ state.mean], [False], t)
 
 
 # ---------------------------------------------------------------------------
@@ -406,134 +403,133 @@ def fourier_transform_form(char: ComplexGaussianForm) -> ComplexGaussianForm:
 
 
 def superposition_pqd(state: SuperpositionState, t: float) -> "PqdFunction":
-    """t-PQD of a branch superposition: one Gaussian term per ordered pair.
+    """t-PQD of a branch superposition: one packed term per unordered pair.
 
     rho = sum_{q,q'} c_q conj(c_{q'}) |q><q'| maps termwise through the
-    dyadic characteristic function and the exact Fourier transform.
+    dyadic characteristic function and the exact Fourier transform.  The
+    (q', q) term is the complex conjugate of the (q, q') term, so only the
+    pairs q <= q' are built: a diagonal term is a real positive Gaussian,
+    and an off-diagonal one enters as 2 Re f_{qq'}, with the 2 in its
+    log-prefactor.
     """
     terms = []
-    n = len(state.branches)
-    for q in range(n):
-        for qp in range(n):
-            ket = state.branches[q]
-            bra = state.branches[qp]
+    for q, ket in enumerate(state.branches):
+        for qp, bra in enumerate(state.branches[q:], start=q):
             char = dyadic_char(ket, bra, t)
             if not char.is_integrable():
-                raise NotIntegrable(
-                    f"branch pair ({q}, {qp}) is not integrable at t={t!r}"
-                )
-            weight = ket.coeff * bra.coeff.conjugate()
-            terms.append(fourier_transform_form(char).scaled(weight))
-    return PqdFunction(tuple(terms), float(t))
+                raise NotIntegrable(f"branch pair ({q}, {qp}) is not integrable at t={t!r}")
+            form = fourier_transform_form(char)
+            scale = form.prefactor * ket.coeff * bra.coeff.conjugate()
+            log_pref = cmath.log(scale) if scale != 0.0 else complex(-math.inf)
+            if qp == q:
+                terms.append((log_pref.real, form.quad.real, form.lin.real, False))
+            else:
+                terms.append((log_pref + _LOG2, form.quad, form.lin, True))
+    return PqdFunction(*zip(*terms), float(t))
 
 
-def _forms_conjugate(a: ComplexGaussianForm, b: ComplexGaussianForm) -> bool:
-    return (
-        abs(a.prefactor - b.prefactor.conjugate()) <= 1e-12 * (1.0 + abs(a.prefactor))
-        and bool(np.all(np.abs(a.quad - b.quad.conjugate()) <= 1e-12 * (1.0 + np.abs(a.quad))))
-        and bool(np.all(np.abs(a.lin - b.lin.conjugate()) <= 1e-12 * (1.0 + np.abs(a.lin))))
-    )
-
-
-def _form_is_real(a: ComplexGaussianForm) -> bool:
-    return (
-        abs(a.prefactor.imag) <= 1e-12 * (1.0 + abs(a.prefactor))
-        and float(np.max(np.abs(a.quad.imag))) <= 1e-12 * (1.0 + float(np.max(np.abs(a.quad))))
-        and float(np.max(np.abs(a.lin.imag))) <= 1e-12 * (1.0 + float(np.max(np.abs(a.lin))))
-    )
-
-
-def _term_grid(form: ComplexGaussianForm, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Single 2-D term on the tensor grid; exploits the rank-1 cross coupling."""
-    a11, a12 = form.quad[0, 0], form.quad[0, 1]
-    a22 = form.quad[1, 1]
-    l1, l2 = form.lin[0], form.lin[1]
-    row = -0.5 * a11 * x1 * x1 + l1 * x1
-    col = -0.5 * a22 * x2 * x2 + l2 * x2
-    expo = row[:, None] + col[None, :] - a12 * np.outer(x1, x2)
-    if form.prefactor == 0.0:
-        return np.zeros_like(expo)
-    # fold the prefactor into the exponent: near the ordering supremum it
-    # can be ~e^{-800} against exponents ~e^{+800}, and the plain product
-    # overflows even though the term value is finite
-    expo += cmath.log(form.prefactor)
-    return np.exp(expo)
-
-
-def _term_grid_real(form: ComplexGaussianForm, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    a11, a12 = form.quad[0, 0].real, form.quad[0, 1].real
-    a22 = form.quad[1, 1].real
-    l1, l2 = form.lin[0].real, form.lin[1].real
-    row = -0.5 * a11 * x1 * x1 + l1 * x1
-    col = -0.5 * a22 * x2 * x2 + l2 * x2
-    expo = row[:, None] + col[None, :] - a12 * np.outer(x1, x2)
-    if form.prefactor.real == 0.0:
-        return np.zeros_like(expo)
-    sign = 1.0 if form.prefactor.real >= 0.0 else -1.0
-    expo += math.log(abs(form.prefactor.real))
-    return sign * np.exp(expo)
+def _exponent(c, a, b, u, v, uv) -> np.ndarray:
+    """c - (a11 u^2 + 2 a12 uv + a22 v^2) / 2 + b1 u + b2 v, at uv's shape."""
+    out = np.multiply(uv, -a[0, 1])
+    out += -0.5 * a[0, 0] * u * u + b[0] * u + c
+    out += -0.5 * a[1, 1] * v * v + b[1] * v
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class PqdFunction:
-    """Real-valued PQD W^{(t)}(beta) = Re sum of complex Gaussian terms."""
+    """Real-valued PQD W^{(t)}(beta) = sum_k Re f_k(beta) over packed terms.
 
-    terms: tuple
+    Term k is f_k(y) = exp(log_pref[k] - y^T quad[k] y / 2 + lin[k]^T y) with
+    y = (Re beta, Im beta), stored as stacked arrays of shapes (T,),
+    (T, 2, 2) and (T, 2).  A term with pair[k] false is a real positive
+    Gaussian; one with pair[k] true stands for a conjugate pair f + conj(f)
+    and carries log 2 in its log-prefactor.
+    """
+
+    log_pref: np.ndarray
+    quad: np.ndarray
+    lin: np.ndarray
+    pair: np.ndarray
     ordering: float
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
+        n = len(self.log_pref)
+        if n == 0:
             raise ValueError("a PQD needs at least one term")
+        for name, dtype, shape in (
+            ("log_pref", complex, (n,)),
+            ("quad", complex, (n, 2, 2)),
+            ("lin", complex, (n, 2)),
+            ("pair", bool, (n,)),
+        ):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape} for {n} single-mode terms")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def _sum(self, u, v, uv) -> np.ndarray:
+        """sum_k Re f_k at the points (u, v), with uv = u v at the output shape.
+
+        u and v may be broadcast views (grid rows and columns), so the row
+        and column parts of each exponent cost one axis, not the grid.  The
+        log-prefactor stays inside the exponent: near the ordering supremum
+        it can be ~-800 against quadratic parts of ~+800, and the plain
+        product would overflow although the term is finite.
+        """
+        out = np.zeros(uv.shape)
+        for lp, a, b, pair in zip(self.log_pref, self.quad, self.lin, self.pair):
+            term = _exponent(lp.real, a.real, b.real, u, v, uv)
+            np.exp(term, out=term)
+            if pair:
+                phase = _exponent(lp.imag, a.imag, b.imag, u, v, uv)
+                term *= np.cos(phase, out=phase)
+            out += term
+        return out
+
+    def _at(self, beta) -> np.ndarray:
+        b = np.asarray(beta, dtype=complex)
+        u, v = b.real.ravel(), b.imag.ravel()
+        return self._sum(u, v, u * v).reshape(b.shape)
 
     def __call__(self, beta) -> np.ndarray:
-        b = np.asarray(beta, dtype=complex)
-        pts = np.stack([b.real, b.imag], axis=-1)
-        acc = np.zeros(b.shape, dtype=complex)
-        for term in self.terms:
-            acc = acc + term.evaluate(pts)
-        out = acc.real
+        out = self._at(beta)
         return out if out.shape else float(out)
 
     def evaluate_complex(self, beta) -> np.ndarray:
-        """Complex term sum before discarding the imaginary part (diagnostics)."""
-        b = np.asarray(beta, dtype=complex)
-        pts = np.stack([b.real, b.imag], axis=-1)
-        acc = np.zeros(b.shape, dtype=complex)
-        for term in self.terms:
-            acc = acc + term.evaluate(pts)
-        return acc
+        """The term sum as a complex array; its imaginary part is zero, since
+        conjugate terms are folded into real pairs when the PQD is built."""
+        return self._at(beta).astype(complex)
 
     def evaluate_grid(self, re_axis, im_axis) -> np.ndarray:
-        """W on the tensor grid, shape (len(re_axis), len(im_axis)).
-
-        Conjugate term pairs (q, q') / (q', q) are folded into one complex
-        evaluation, and self-conjugate terms into a real one, so the output
-        is exactly real and costs about half the naive term count.
-        """
+        """W on the tensor grid, shape (len(re_axis), len(im_axis))."""
         x1 = np.asarray(re_axis, dtype=float)
         x2 = np.asarray(im_axis, dtype=float)
-        out = np.zeros((x1.size, x2.size))
-        done = [False] * len(self.terms)
-        for i, term in enumerate(self.terms):
-            if done[i]:
-                continue
-            done[i] = True
-            if _form_is_real(term):
-                out += _term_grid_real(term, x1, x2)
-                continue
-            partner = None
-            for j in range(i + 1, len(self.terms)):
-                if not done[j] and _forms_conjugate(term, self.terms[j]):
-                    partner = j
-                    break
-            if partner is None:
-                out += _term_grid(term, x1, x2).real
-            else:
-                done[partner] = True
-                out += 2.0 * _term_grid(term, x1, x2).real
-        return out
+        return self._sum(x1[:, None], x2[None, :], np.outer(x1, x2))
+
+    def envelopes(self):
+        """(peak, center, precision) per term, |f_k(y)| = peak_k e^{-(y-c_k)^T S_k (y-c_k)/2}.
+
+        A pair's peak covers f + conj(f), so the terms' sum bounds |W|.
+        Raises OrderingTooHigh when one branch pair's peak overflows this
+        close to the integrability boundary.
+        """
+        prec = self.quad.real
+        b_part = self.lin.real
+        center = np.linalg.solve(prec, b_part[..., None])[..., 0]
+        exponent = self.log_pref.real + 0.5 * np.einsum("ki,ki->k", b_part, center)
+        if np.any(exponent - _LOG2 * self.pair > 700.0):
+            raise OrderingTooHigh(
+                "PQD term peak overflows this close to the integrability boundary"
+            )
+        return np.exp(exponent), center, prec
 
     def analytic_integral(self) -> complex:
         """Int W d^2beta over the whole plane (1 for a normalized state)."""
-        return complex(sum(term.analytic_integral() for term in self.terms))
+        total = 0.0
+        for lp, a, b in zip(self.log_pref, self.quad, self.lin):
+            log_det = cmath.log(_sqrt_det(a))  # raises NotIntegrable first
+            log_gauss = 0.5 * complex(b @ np.linalg.solve(a, b))
+            total += cmath.exp(lp + math.log(2.0 * math.pi) - log_det + log_gauss).real
+        return complex(total)

@@ -276,28 +276,24 @@ def _gaussian_sampler(state: GaussianState, t: float):
 def _rejection_sampler(state: SuperpositionState, t: float):
     """Sample the (non-negative) PQD under its term-envelope mixture.
 
-    env(y) = sum_i |f_i(y)| >= |W(y)| pointwise, so acceptance with
+    env(y) = sum_k |f_k(y)| >= |W(y)| pointwise, so acceptance with
     probability max(W, 0)/env is exact; the envelope is a Gaussian mixture
     with weights given by the term masses.
     """
     pqd = superposition_pqd(state, t)
-    peaks, centers, chols, masses = [], [], [], []
-    for term in pqd.terms:
-        peak, center, prec = term.envelope()
-        cov = np.linalg.inv(prec)
-        cov = 0.5 * (cov + cov.T)
-        masses.append(peak * 2.0 * math.pi / math.sqrt(float(np.linalg.det(prec))))
-        peaks.append(peak)
-        centers.append(center)
-        chols.append(np.linalg.cholesky(cov))
-    weights = np.asarray(masses) / math.fsum(masses)
-    precs = [term.envelope()[2] for term in pqd.terms]
+    peaks, centers, precs = pqd.envelopes()
+    covs = np.linalg.inv(precs)
+    chols = np.linalg.cholesky(0.5 * (covs + np.swapaxes(covs, 1, 2)))
+    masses = peaks * 2.0 * math.pi / np.sqrt(np.linalg.det(precs))
+    weights = masses / math.fsum(masses)
+    s11, s12, s22 = precs[:, 0, 0], precs[:, 0, 1], precs[:, 1, 1]
 
     def envelope(y: np.ndarray) -> np.ndarray:
         out = np.zeros(y.shape[0])
-        for peak, center, prec in zip(peaks, centers, precs):
-            d = y - center
-            out += peak * np.exp(-0.5 * np.einsum("ni,ij,nj->n", d, prec, d))
+        for k in range(peaks.size):
+            d1 = y[:, 0] - centers[k, 0]
+            d2 = y[:, 1] - centers[k, 1]
+            out += peaks[k] * np.exp(-0.5 * (s11[k] * d1 * d1 + s22[k] * d2 * d2) - s12[k] * d1 * d2)
         return out
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -316,7 +312,9 @@ def _rejection_sampler(state: SuperpositionState, t: float):
             keep = rng.random(batch) * envelope(ys) <= w_vals
             got.append(ys[keep])
             have += int(keep.sum())
-        return np.concatenate(got)[:size]
+        # each batch is laid out component by component, so cut a random
+        # subset, not the tail, or the last components lose their points
+        return rng.permutation(np.concatenate(got))[:size]
 
     return draw
 

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kerrpqd
 from kerrpqd.cli import main
 
 SQ_VAC = "kind=squeezed_vacuum r=0.4 phi=0"
@@ -265,3 +269,16 @@ def test_out_of_range_ordering_exits_3(capsys):
     assert code == 3
     assert err.startswith("error=")
     assert "detail=" in err
+
+
+def test_import_leaves_the_fock_oracle_unloaded():
+    """scipy.linalg is only needed by the oracle, which loads on first use."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kerrpqd.__file__)))
+    code = (
+        "import sys, kerrpqd, kerrpqd.cli\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+        "assert callable(kerrpqd.build_state)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

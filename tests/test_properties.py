@@ -1,0 +1,100 @@
+"""Randomized properties of the packed PQD terms (hypothesis)."""
+
+import cmath
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from kerrpqd import negativity
+from kerrpqd.negativity import integrable_ordering_sup
+from kerrpqd.phase_space import dyadic_char, fourier_transform_form, superposition_pqd
+from kerrpqd.states import Branch, SqueezeParam, kerr_squeezed_vacuum, squeeze_then_kerr_state
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+alphas = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+squeezes = st.builds(SqueezeParam, st.floats(0.0, 0.6), st.floats(0.0, 2.0 * math.pi))
+states = st.one_of(
+    st.builds(squeeze_then_kerr_state, st.integers(1, 4), alphas, squeezes),
+    st.builds(kerr_squeezed_vacuum, st.integers(1, 5), st.floats(0.05, 0.8)),
+)
+axes = st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=12).map(np.array)
+
+
+def ordering(t_sup: float, frac: float) -> float:
+    """A point of [-1, t_sup - 0.1], away from the integrability boundary."""
+    return -1.0 + frac * (t_sup - 0.1 + 1.0)
+
+
+def close(a, b, scale, rel):
+    return np.all(np.abs(np.asarray(a) - np.asarray(b)) <= rel * np.maximum(np.abs(scale), 1.0))
+
+
+@SETTINGS
+@given(
+    ket=st.builds(Branch, st.just(1.0), alphas, squeezes),
+    bra=st.builds(Branch, st.just(1.0), alphas, squeezes),
+    frac=st.floats(0.0, 1.0),
+)
+def test_swapped_pair_is_the_conjugate_form(ket, bra, frac):
+    t_sup = float(np.linalg.eigvalsh(dyadic_char(ket, bra, 0.0).quad.real)[0])
+    t = ordering(t_sup, frac)
+    ab = fourier_transform_form(dyadic_char(ket, bra, t))
+    ba = fourier_transform_form(dyadic_char(bra, ket, t))
+    assert abs(ba.prefactor - ab.prefactor.conjugate()) <= 1e-12 * abs(ab.prefactor)
+    assert close(ba.quad, ab.quad.conj(), np.abs(ab.quad).max(), 1e-12)
+    assert close(ba.lin, ab.lin.conj(), np.abs(ab.lin).max(), 1e-12)
+
+
+def unfolded(state, t, y):
+    """(Re sum, sum of moduli) of the K^2 branch-pair terms at points y (..., 2)."""
+    vals = np.array(
+        [
+            ket.coeff * bra.coeff.conjugate() * fourier_transform_form(dyadic_char(ket, bra, t)).evaluate(y)
+            for ket in state.branches
+            for bra in state.branches
+        ]
+    )
+    return vals.sum(axis=0).real, np.abs(vals).sum(axis=0)
+
+
+@SETTINGS
+@given(state=states, frac=st.floats(0.0, 1.0), x1=axes, x2=axes)
+def test_packed_terms_match_the_unfolded_sum(state, frac, x1, x2):
+    t = ordering(integrable_ordering_sup(state), frac)
+    pqd = superposition_pqd(state, t)
+    y = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1)
+    ref, modulus = unfolded(state, t, y)
+    assert np.all(np.abs(pqd.evaluate_grid(x1, x2) - ref) <= 1e-13 * modulus)
+    points = y[..., 0] + 1j * y[..., 1]
+    assert np.all(np.abs(pqd(points) - ref) <= 1e-13 * modulus)
+
+
+cat_states = st.builds(
+    squeeze_then_kerr_state,
+    st.integers(2, 4),
+    st.builds(cmath.rect, st.floats(0.8, 1.5), st.floats(0.0, 2.0 * math.pi)),
+    st.builds(SqueezeParam, st.floats(0.0, 0.4), st.floats(0.0, 2.0 * math.pi)),
+)
+
+
+@SETTINGS
+@given(
+    state=cat_states,
+    t=st.floats(-0.3, 0.0),
+    n1=st.integers(1, 40),
+    n2=st.integers(1, 300),
+    block=st.sampled_from([1, 7, 64, 1000, 1 << 14]),
+    workers=st.sampled_from([1, 2]),
+)
+def test_negative_mass_does_not_depend_on_the_blocking(state, t, n1, n2, block, workers):
+    pqd = superposition_pqd(state, t)
+    x1 = np.linspace(-1.2, 1.2, n1)  # the interference fringes of the cat states
+    x2 = np.linspace(-1.0, 1.4, n2)
+    whole = math.fsum(np.maximum(-pqd.evaluate_grid(x1, x2), 0.0).sum(axis=1))
+    assume(whole > 0.0)
+    with mock.patch.object(negativity, "_BLOCK_POINTS", block):
+        assert negativity._negative_mass_grid(pqd, x1, x2, workers) == whole

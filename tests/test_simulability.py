@@ -369,3 +369,13 @@ def test_mc_validation():
         estimate_click_probability(GaussianState.vacuum(1), MC_NOISE, t=-1.0, n_samples=1)
     with pytest.raises(ValueError):
         estimate_click_probability(GaussianState.vacuum(2), MC_NOISE, t=-1.0, n_samples=100)
+
+
+def test_mc_interference_state_unbiased_at_a_million_samples():
+    """The accepted points are cut to n_samples at random, not by mixture
+    component, so the estimate stays on the oracle at 10^6 samples."""
+    state = squeeze_then_kerr_state(3, 1.0, SqueezeParam(0.2))
+    noise = NoiseParams(eta_L=0.8, eta_D=0.6, p_D=1.05 * 0.48)
+    p, se = estimate_click_probability(state, noise, t=-1.0, n_samples=1_000_000, seed=13)
+    ref = oracle_off_probability(oracle_loss(build_state(state, n_max=60), noise.eta_L), noise)
+    assert abs(p - ref) < 3.0 * se
