@@ -49,8 +49,9 @@ TOL_T_DEFAULT = 1e-3
 _PATCH_CELLS = 4  # patch half-extent, in coarse-grid cells
 _PATCH_MIN_H = 1.5e-4  # finest local step; resolves any pocket above ~1e-10 mass
 _PATCH_FLOOR = 1e-11  # error floor charged per patch that resolves nothing
-# Grid points per evaluate_grid call: large enough to amortize the per-term
-# Python work, small enough that the kernel's temporaries stay in cache.
+# Grid points per evaluate_grid call: large enough to amortize the per-call
+# Python work, and a unit that workers can share; the kernel itself works
+# in cache-sized chunks of 2^12 points.
 _BLOCK_POINTS = 1 << 14
 
 
@@ -114,19 +115,26 @@ class NegativityCurve:
 # ---------------------------------------------------------------------------
 
 
-def _tail_outside(terms: PqdFunction, window: float) -> float:
+def _tail_terms(terms: PqdFunction):
+    """(peak, center, lambda_min) per term, the inputs of _tail_outside."""
+    peak, center, prec = terms.envelopes()
+    lam = np.linalg.eigvalsh(prec)[:, 0]
+    if np.any(lam <= 0.0):
+        raise NotIntegrable("PQD term does not decay; tail bound undefined")
+    return peak, center, lam
+
+
+def _tail_outside(tail_terms, window: float) -> float:
     """Upper bound on Int_{outside square} sum |f_k|, term by term.
 
     Each term obeys |f(y)| <= peak * e^{-(y-c)^T S (y-c)/2} (a pair's peak
     covers both conjugates); every point outside the square lies at
     distance >= d from the center (d the sup-norm gap to the nearest edge,
     0 if the center is outside), so the term mass is at most
-    peak * (2 pi / lambda_min) e^{-lambda_min d^2 / 2}.
+    peak * (2 pi / lambda_min) e^{-lambda_min d^2 / 2}.  `tail_terms` is
+    the output of _tail_terms.
     """
-    peak, center, prec = terms.envelopes()
-    lam = np.linalg.eigvalsh(prec)[:, 0]
-    if np.any(lam <= 0.0):
-        raise NotIntegrable("PQD term does not decay; tail bound undefined")
+    peak, center, lam = tail_terms
     d = np.maximum(np.minimum(window - np.abs(center[:, 0]), window - np.abs(center[:, 1])), 0.0)
     return float(np.sum(peak * (2.0 * math.pi / lam) * np.exp(-0.5 * lam * d * d)))
 
@@ -143,7 +151,7 @@ def _interference_terms(pqd: PqdFunction) -> PqdFunction | None:
     return PqdFunction(pqd.log_pref[keep], pqd.quad[keep], pqd.lin[keep], keep[keep], pqd.ordering)
 
 
-def _pocket_window(terms, spec: QuadratureSpec) -> float:
+def _pocket_window(tail_terms, spec: QuadratureSpec) -> float:
     """Smallest window that still bounds the outside negative mass.
 
     The integrand vanishes wherever the interference terms are negligible,
@@ -151,12 +159,12 @@ def _pocket_window(terms, spec: QuadratureSpec) -> float:
     region is charged to the tail at a tenth of the overall budget.
     """
     target = 0.1 * spec.tol
-    if 2.0 * _tail_outside(terms, spec.window) > target:
+    if 2.0 * _tail_outside(tail_terms, spec.window) > target:
         return spec.window
     lo, hi = 1.0, spec.window
     for _ in range(30):
         mid = 0.5 * (lo + hi)
-        if 2.0 * _tail_outside(terms, mid) <= target:
+        if 2.0 * _tail_outside(tail_terms, mid) <= target:
             hi = mid
         else:
             lo = mid
@@ -334,13 +342,14 @@ def negativity_volume(
     if interference is None:
         return 0.0, 0.0
 
-    tail = 2.0 * _tail_outside(interference, spec.window)
+    tail_terms = _tail_terms(interference)
+    tail = 2.0 * _tail_outside(tail_terms, spec.window)
     if tail > spec.tol:
         raise TailBoundExceeded(
             f"exterior bound {tail:.3e} exceeds tolerance {spec.tol:.3e}; widen the window"
         )
-    window = _pocket_window(interference, spec)
-    tail = 2.0 * _tail_outside(interference, window)
+    window = _pocket_window(tail_terms, spec)
+    tail = 2.0 * _tail_outside(tail_terms, window)
     local = replace(spec, window=window)
 
     if focus is None:

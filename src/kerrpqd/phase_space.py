@@ -428,12 +428,21 @@ def superposition_pqd(state: SuperpositionState, t: float) -> "PqdFunction":
     return PqdFunction(*zip(*terms), float(t))
 
 
-def _exponent(c, a, b, u, v, uv) -> np.ndarray:
-    """c - (a11 u^2 + 2 a12 uv + a22 v^2) / 2 + b1 u + b2 v, at uv's shape."""
-    out = np.multiply(uv, -a[0, 1])
-    out += -0.5 * a[0, 0] * u * u + b[0] * u + c
-    out += -0.5 * a[1, 1] * v * v + b[1] * v
-    return out
+# Points per kernel chunk.  The chunk's monomial basis and term exponents
+# (about 1 MB for the 25 rows of a 15-term PQD) stay in a 2 MiB L2 cache;
+# chunks of 2^14 points spill out of it and run slower.
+_CHUNK = 1 << 12
+# Rows per matrix product: at most 2^18 multiply-adds, OpenBLAS's default
+# threshold for splitting a gemm over threads.  A split product rounds some
+# points differently, which would make W depend on the BLAS thread count.
+_PRODUCT_ROWS = (1 << 18) // (6 * _CHUNK)
+
+
+def _monomial_rows(c, a, b) -> np.ndarray:
+    """Rows of c - y^T a y / 2 + b^T y on the basis [1, u, v, u^2, uv, v^2]."""
+    return np.stack(
+        [c, b[:, 0], b[:, 1], -0.5 * a[:, 0, 0], -a[:, 0, 1], -0.5 * a[:, 1, 1]], axis=1
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,6 +454,12 @@ class PqdFunction:
     (T, 2, 2) and (T, 2).  A term with pair[k] false is a real positive
     Gaussian; one with pair[k] true stands for a conjugate pair f + conj(f)
     and carries log 2 in its log-prefactor.
+
+    Construction also fixes every exponent as a row of coefficients on the
+    monomials [1, u, v, u^2, uv, v^2]: the T real parts, with the
+    log-prefactor on 1, followed by the P pair terms' phases.  All
+    evaluation goes through one kernel that multiplies these rows into the
+    monomials of a chunk of points.
     """
 
     log_pref: np.ndarray
@@ -468,45 +483,107 @@ class PqdFunction:
                 raise ValueError(f"{name} must have shape {shape} for {n} single-mode terms")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        pairs = np.flatnonzero(self.pair)
+        rows = [
+            _monomial_rows(self.log_pref.real, self.quad.real, self.lin.real),
+            _monomial_rows(self.log_pref.imag[pairs], self.quad.imag[pairs], self.lin.imag[pairs]),
+        ]
+        if n + pairs.size < 2:
+            rows.append(np.zeros((1, 6)))  # see _kernel: gemm needs two rows
+        rows = np.concatenate(rows)
+        rows.setflags(write=False)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_pairs", tuple(int(k) for k in pairs))
 
-    def _sum(self, u, v, uv) -> np.ndarray:
-        """sum_k Re f_k at the points (u, v), with uv = u v at the output shape.
+    def _kernel(self, chunks, size: int, phases: bool = True) -> np.ndarray:
+        """sum_k Re f_k, or sum_k |f_k| without phases, at `size` points.
 
-        u and v may be broadcast views (grid rows and columns), so the row
-        and column parts of each exponent cost one axis, not the grid.  The
-        log-prefactor stays inside the exponent: near the ordering supremum
-        it can be ~-800 against quadratic parts of ~+800, and the plain
-        product would overflow although the term is finite.
+        `chunks` yields (u, v) pairs that broadcast to at most _CHUNK points,
+        in output order.  Per chunk, the monomials fill a (6, m) basis, the
+        coefficient rows times the basis give every exponent, and the terms
+        are summed in term order.  The log-prefactor stays inside the
+        exponent: near the ordering supremum it can be ~-800 against
+        quadratic parts of ~+800, and the plain product would overflow
+        although the term is finite.
         """
-        out = np.zeros(uv.shape)
-        for lp, a, b, pair in zip(self.log_pref, self.quad, self.lin, self.pair):
-            term = _exponent(lp.real, a.real, b.real, u, v, uv)
-            np.exp(term, out=term)
-            if pair:
-                phase = _exponent(lp.imag, a.imag, b.imag, u, v, uv)
-                term *= np.cos(phase, out=phase)
-            out += term
+        n_terms = self.log_pref.size
+        rows = self._rows if phases else self._rows[: max(n_terms, 2)]
+        n_products = -(-len(rows) // _PRODUCT_ROWS)
+        cuts = [len(rows) * i // n_products for i in range(n_products + 1)]
+        out = np.empty(size)
+        width = max(min(size, _CHUNK), 2)
+        basis = np.zeros((6, width))
+        basis[0] = 1.0
+        expo = np.empty((len(rows), width))
+        lo = 0
+        for u, v in chunks:
+            shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+            m = math.prod(shape)
+            bu, bv = basis[1, :m], basis[2, :m]
+            bu.reshape(shape)[...] = u
+            bv.reshape(shape)[...] = v
+            np.multiply(bu, bu, out=basis[3, :m])
+            np.multiply(bu, bv, out=basis[4, :m])
+            np.multiply(bv, bv, out=basis[5, :m])
+            # numpy hands a product with one row or one column to gemv, whose
+            # rounding depends on where a point sits in the chunk; with at
+            # least two of each, gemm gives every point the same bits
+            # whatever the chunking (a spare column holds an earlier point
+            # or the origin, and its values are dropped)
+            e = expo[:, : max(m, 2)]
+            for r0, r1 in zip(cuts, cuts[1:]):
+                np.matmul(rows[r0:r1], basis[:, : max(m, 2)], out=e[r0:r1])
+            np.exp(e[:n_terms], out=e[:n_terms])
+            if phases:
+                phase = e[n_terms:]
+                np.cos(phase, out=phase)
+                for j, k in enumerate(self._pairs):
+                    e[k] *= phase[j]
+            acc = out[lo : lo + m]
+            np.copyto(acc, e[0, :m])
+            for k in range(1, n_terms):
+                acc += e[k, :m]
+            lo += m
         return out
 
-    def _at(self, beta) -> np.ndarray:
+    def _at(self, beta, phases: bool = True) -> np.ndarray:
         b = np.asarray(beta, dtype=complex)
-        u, v = b.real.ravel(), b.imag.ravel()
-        return self._sum(u, v, u * v).reshape(b.shape)
+        flat = b.reshape(-1)
+        chunks = (
+            (flat.real[lo : lo + _CHUNK], flat.imag[lo : lo + _CHUNK])
+            for lo in range(0, flat.size, _CHUNK)
+        )
+        out = self._kernel(chunks, flat.size, phases).reshape(b.shape)
+        return out if out.shape else float(out)
 
     def __call__(self, beta) -> np.ndarray:
-        out = self._at(beta)
-        return out if out.shape else float(out)
+        return self._at(beta)
 
     def evaluate_complex(self, beta) -> np.ndarray:
         """The term sum as a complex array; its imaginary part is zero, since
         conjugate terms are folded into real pairs when the PQD is built."""
-        return self._at(beta).astype(complex)
+        return np.asarray(self._at(beta), dtype=complex)
+
+    def envelope_at(self, beta) -> np.ndarray:
+        """sum_k |f_k(beta)|, a pair's modulus with its factor 2; bounds |W|."""
+        return self._at(beta, phases=False)
 
     def evaluate_grid(self, re_axis, im_axis) -> np.ndarray:
-        """W on the tensor grid, shape (len(re_axis), len(im_axis))."""
-        x1 = np.asarray(re_axis, dtype=float)
-        x2 = np.asarray(im_axis, dtype=float)
-        return self._sum(x1[:, None], x2[None, :], np.outer(x1, x2))
+        """W on the tensor grid, shape (len(re_axis), len(im_axis)).
+
+        A chunk is a run of whole grid rows, or a piece of one row when a
+        row is wider than a chunk.
+        """
+        x1 = np.asarray(re_axis, dtype=float).reshape(-1)
+        x2 = np.asarray(im_axis, dtype=float).reshape(-1)
+        if x2.size <= _CHUNK:
+            step = _CHUNK // max(x2.size, 1)
+            chunks = ((x1[i : i + step, None], x2) for i in range(0, x1.size, step))
+        else:
+            chunks = (
+                (x1[i], x2[j : j + _CHUNK]) for i in range(x1.size) for j in range(0, x2.size, _CHUNK)
+            )
+        return self._kernel(chunks, x1.size * x2.size).reshape(x1.size, x2.size)
 
     def envelopes(self):
         """(peak, center, precision) per term, |f_k(y)| = peak_k e^{-(y-c_k)^T S_k (y-c_k)/2}.

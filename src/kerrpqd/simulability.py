@@ -276,9 +276,9 @@ def _gaussian_sampler(state: GaussianState, t: float):
 def _rejection_sampler(state: SuperpositionState, t: float):
     """Sample the (non-negative) PQD under its term-envelope mixture.
 
-    env(y) = sum_k |f_k(y)| >= |W(y)| pointwise, so acceptance with
-    probability max(W, 0)/env is exact; the envelope is a Gaussian mixture
-    with weights given by the term masses.
+    env(y) = sum_k |f_k(y)| >= |W(y)| pointwise (PqdFunction.envelope_at),
+    so acceptance with probability max(W, 0)/env is exact; the envelope is a
+    Gaussian mixture with weights given by the term masses.
     """
     pqd = superposition_pqd(state, t)
     peaks, centers, precs = pqd.envelopes()
@@ -286,15 +286,6 @@ def _rejection_sampler(state: SuperpositionState, t: float):
     chols = np.linalg.cholesky(0.5 * (covs + np.swapaxes(covs, 1, 2)))
     masses = peaks * 2.0 * math.pi / np.sqrt(np.linalg.det(precs))
     weights = masses / math.fsum(masses)
-    s11, s12, s22 = precs[:, 0, 0], precs[:, 0, 1], precs[:, 1, 1]
-
-    def envelope(y: np.ndarray) -> np.ndarray:
-        out = np.zeros(y.shape[0])
-        for k in range(peaks.size):
-            d1 = y[:, 0] - centers[k, 0]
-            d2 = y[:, 1] - centers[k, 1]
-            out += peaks[k] * np.exp(-0.5 * (s11[k] * d1 * d1 + s22[k] * d2 * d2) - s12[k] * d1 * d2)
-        return out
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         got = []
@@ -308,8 +299,9 @@ def _rejection_sampler(state: SuperpositionState, t: float):
                 z = rng.standard_normal((cnt, 2))
                 ys[off : off + cnt] = centers[idx] + z @ chols[idx].T
                 off += cnt
-            w_vals = np.maximum(np.asarray(pqd(ys[:, 0] + 1j * ys[:, 1])), 0.0)
-            keep = rng.random(batch) * envelope(ys) <= w_vals
+            beta = ys[:, 0] + 1j * ys[:, 1]
+            w_vals = np.maximum(np.asarray(pqd(beta)), 0.0)
+            keep = rng.random(batch) * pqd.envelope_at(beta) <= w_vals
             got.append(ys[keep])
             have += int(keep.sum())
         # each batch is laid out component by component, so cut a random

@@ -60,6 +60,24 @@ def test_pqd_runs_are_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("m", [5, 7])
+def test_pqd_csv_does_not_depend_on_the_blas_thread_count(tmp_path, m):
+    """m = 5 gives 15 terms and m = 7 gives 28, 49 coefficient rows with the
+    phases: as one product per 4096-point chunk, OpenBLAS splits that over
+    two threads and rounds some points differently."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kerrpqd.__file__)))
+    code = "import sys\nfrom kerrpqd.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        argv = ["pqd", "--state", f"kind=kerr_squeezed_vacuum m={m} r=1", "--t", "-0.5", "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 # ---------------------------------------------------------------------------
 # negativity / threshold
 # ---------------------------------------------------------------------------

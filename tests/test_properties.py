@@ -1,14 +1,14 @@
-"""Randomized properties of the packed PQD terms (hypothesis)."""
+"""Randomized properties of the packed PQD terms and their kernel (hypothesis)."""
 
 import cmath
 import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from kerrpqd import negativity
+from kerrpqd import negativity, phase_space
 from kerrpqd.negativity import integrable_ordering_sup
 from kerrpqd.phase_space import dyadic_char, fourier_transform_form, superposition_pqd
 from kerrpqd.states import Branch, SqueezeParam, kerr_squeezed_vacuum, squeeze_then_kerr_state
@@ -98,3 +98,48 @@ def test_negative_mass_does_not_depend_on_the_blocking(state, t, n1, n2, block, 
     assume(whole > 0.0)
     with mock.patch.object(negativity, "_BLOCK_POINTS", block):
         assert negativity._negative_mass_grid(pqd, x1, x2, workers) == whole
+
+
+CURVE_STATE = squeeze_then_kerr_state(3, 1.0, SqueezeParam(0.2))
+CHUNK = phase_space._CHUNK
+
+
+@SETTINGS
+@given(state=states, frac=st.floats(0.0, 1.0), n1=st.integers(1, 6), n2=st.integers(1, 3 * CHUNK))
+@example(state=CURVE_STATE, frac=0.5, n1=1, n2=CHUNK + 1)  # one row wider than a chunk
+@example(state=CURVE_STATE, frac=0.5, n1=2, n2=CHUNK + 1)  # one-point grid chunks
+@example(state=CURVE_STATE, frac=0.5, n1=3, n2=2 * CHUNK + 5)
+@example(state=CURVE_STATE, frac=0.5, n1=5, n2=1000)  # 4 rows per chunk, then 1
+@example(state=CURVE_STATE, frac=0.5, n1=6, n2=1)
+def test_grid_chunks_equal_the_pointwise_values(state, frac, n1, n2):
+    """The grid's row-run chunks and the points' flat chunks cut the same
+    points differently; every point must still get the same bits."""
+    pqd = superposition_pqd(state, ordering(integrable_ordering_sup(state), frac))
+    x1 = np.linspace(-3.0, 3.0, n1)
+    x2 = np.linspace(-2.5, 3.5, n2)
+    grid = pqd.evaluate_grid(x1, x2)
+    assert grid.shape == (n1, n2)
+    assert np.array_equal(grid, pqd(x1[:, None] + 1j * x2[None, :]))
+
+
+@SETTINGS
+@given(state=states, frac=st.floats(0.0, 1.0), re=st.floats(-4.0, 4.0), im=st.floats(-4.0, 4.0))
+def test_scalar_point_is_a_float(state, frac, re, im):
+    pqd = superposition_pqd(state, ordering(integrable_ordering_sup(state), frac))
+    value = pqd(complex(re, im))
+    assert type(value) is float
+    assert value == pqd(np.array([complex(re, im), 0.5 + 0.25j]))[0]
+    assert type(pqd.envelope_at(complex(re, im))) is float
+
+
+@SETTINGS
+@given(state=states, frac=st.floats(0.0, 1.0), x1=axes, x2=axes)
+def test_envelope_bounds_the_pqd_and_matches_the_term_gaussians(state, frac, x1, x2):
+    pqd = superposition_pqd(state, ordering(integrable_ordering_sup(state), frac))
+    points = x1[:, None] + 1j * x2[None, :]
+    env = pqd.envelope_at(points)
+    assert np.all(env >= np.abs(pqd(points)))
+    peaks, centers, precs = pqd.envelopes()
+    d = np.stack([points.real, points.imag], axis=-1)[..., None, :] - centers
+    ref = (peaks * np.exp(-0.5 * np.einsum("...ki,kij,...kj->...k", d, precs, d))).sum(axis=-1)
+    assert np.all(np.abs(env - ref) <= 1e-12 * ref)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from kerrpqd.fock_oracle import (
     oracle_loss,
     oracle_off_probability,
 )
-from kerrpqd.phase_space import GaussianState
+from kerrpqd.phase_space import GaussianState, PqdFunction
 from kerrpqd.simulability import (
     NoiseParams,
     TransferMatrix,
@@ -379,3 +380,25 @@ def test_mc_interference_state_unbiased_at_a_million_samples():
     p, se = estimate_click_probability(state, noise, t=-1.0, n_samples=1_000_000, seed=13)
     ref = oracle_off_probability(oracle_loss(build_state(state, n_max=60), noise.eta_L), noise)
     assert abs(p - ref) < 3.0 * se
+
+
+def per_term_envelope(pqd, beta):
+    """sum_k peak_k e^{-(y-c_k)^T S_k (y-c_k)/2}, term by term from envelopes()."""
+    peaks, centers, precs = pqd.envelopes()
+    b = np.asarray(beta, dtype=complex)
+    out = np.zeros(b.shape)
+    for peak, (c1, c2), prec in zip(peaks, centers, precs):
+        d1 = b.real - c1
+        d2 = b.imag - c2
+        out += peak * np.exp(-0.5 * (prec[0, 0] * d1 * d1 + prec[1, 1] * d2 * d2) - prec[0, 1] * d1 * d2)
+    return out
+
+
+def test_mc_sampler_envelope_is_the_per_term_gaussian_sum():
+    """The kernel's envelope accepts exactly the points the per-term
+    Gaussians accept, so the estimate does not move."""
+    state = squeeze_then_kerr_state(2, 1.2, SqueezeParam(0.0))
+    kernel = estimate_click_probability(state, MC_NOISE, t=-1.0, n_samples=100_000, seed=7)
+    with mock.patch.object(PqdFunction, "envelope_at", per_term_envelope):
+        gaussians = estimate_click_probability(state, MC_NOISE, t=-1.0, n_samples=100_000, seed=7)
+    assert kernel == gaussians
