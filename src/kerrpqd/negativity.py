@@ -49,6 +49,11 @@ TOL_T_DEFAULT = 1e-3
 _PATCH_CELLS = 4  # patch half-extent, in coarse-grid cells
 _PATCH_MIN_H = 1.5e-4  # finest local step; resolves any pocket above ~1e-10 mass
 _PATCH_FLOOR = 1e-11  # error floor charged per patch that resolves nothing
+# Husimi-zero scan: grid points per axis, the cut below the grid maximum
+# that a local minimum must pass, and the most zeros kept.
+_SCAN_RESOLUTION = 384
+_SCAN_REL_CUT = 0.05
+_SCAN_CAP = 32
 # Grid points per evaluate_grid call: large enough to amortize the per-call
 # Python work, and a unit that workers can share; the kernel itself works
 # in cache-sized chunks of 2^12 points.
@@ -148,7 +153,7 @@ def _interference_terms(pqd: PqdFunction) -> PqdFunction | None:
     keep = pqd.pair
     if not keep.any():
         return None
-    return PqdFunction(pqd.log_pref[keep], pqd.quad[keep], pqd.lin[keep], keep[keep], pqd.ordering)
+    return PqdFunction(pqd.log_pref[keep], pqd.quad[keep], pqd.lin[keep], keep[keep])
 
 
 def _pocket_window(tail_terms, spec: QuadratureSpec) -> float:
@@ -500,21 +505,14 @@ def find_threshold(
 # ---------------------------------------------------------------------------
 
 
-def husimi_zero_candidates(
-    state: SuperpositionState,
-    window: float | None = None,
-    *,
-    scan_resolution: int = 384,
-    rel_cut: float = 0.05,
-    cap: int = 32,
-) -> tuple:
+def husimi_zero_candidates(state: SuperpositionState, window: float | None = None) -> tuple:
     """Approximate zeros of the Husimi function inside the window.
 
     These are the only points where negativity can survive as t -> -1, so
     they serve as focus points for the patch quadrature.  Works on a scan
-    grid of the t = -1 PQD: local minima below rel_cut times the grid
+    grid of the t = -1 PQD: local minima below _SCAN_REL_CUT times the grid
     maximum are polished by shrinking 5x5 stencils, deduplicated, and
-    capped at the `cap` lowest values.  Single-branch states have none.
+    capped at the _SCAN_CAP lowest values.  Single-branch states have none.
     """
     if len(state.branches) == 1:
         return ()
@@ -522,7 +520,7 @@ def husimi_zero_candidates(
         spec = QuadratureSpec.for_state(state)
         window = spec.window
     pqd = superposition_pqd(state, -1.0)
-    axis = np.linspace(-window, window, scan_resolution)
+    axis = np.linspace(-window, window, _SCAN_RESOLUTION)
     q = pqd.evaluate_grid(axis, axis)
     qmax = float(q.max())
     if qmax <= 0.0:
@@ -534,9 +532,9 @@ def husimi_zero_candidates(
         for dj in (-1, 0, 1):
             if di == 0 and dj == 0:
                 continue
-            neighbor = q[1 + di : scan_resolution - 1 + di, 1 + dj : scan_resolution - 1 + dj]
+            neighbor = q[1 + di : _SCAN_RESOLUTION - 1 + di, 1 + dj : _SCAN_RESOLUTION - 1 + dj]
             is_min &= interior <= neighbor
-    is_min &= interior < rel_cut * qmax
+    is_min &= interior < _SCAN_REL_CUT * qmax
     ii, jj = np.nonzero(is_min)
 
     step = axis[1] - axis[0]
@@ -561,6 +559,6 @@ def husimi_zero_candidates(
     for val, z in found:
         if all(abs(z - w) > 0.05 for w in kept):
             kept.append(z)
-        if len(kept) >= cap:
+        if len(kept) >= _SCAN_CAP:
             break
     return tuple(kept)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotIntegrable, OrderingTooHigh
-from .states import Branch, SqueezeParam, SuperpositionState, compose_squeezing
+from .states import Branch, SqueezeParam, SuperpositionState, branch_overlap, compose_squeezing
 
 __all__ = [
     "ComplexGaussianForm",
@@ -71,7 +71,7 @@ def _sqrt_det(quad: np.ndarray) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class ComplexGaussianForm:
-    """f(x) = prefactor * exp(-x^T quad x / 2 + lin^T x), quad symmetric."""
+    """Single-mode f(x) = prefactor * exp(-x^T quad x / 2 + lin^T x), quad symmetric 2 x 2."""
 
     prefactor: complex
     quad: np.ndarray
@@ -80,10 +80,8 @@ class ComplexGaussianForm:
     def __post_init__(self):
         quad = np.asarray(self.quad, dtype=complex)
         lin = np.asarray(self.lin, dtype=complex)
-        if quad.ndim != 2 or quad.shape[0] != quad.shape[1]:
-            raise ValueError("quadratic part must be a square matrix")
-        if quad.shape[0] % 2 or lin.shape != (quad.shape[0],):
-            raise ValueError("expected a 2M x 2M matrix and a length-2M vector")
+        if quad.shape != (2, 2) or lin.shape != (2,):
+            raise ValueError("expected a 2 x 2 matrix and a length-2 vector")
         scale = max(1.0, float(np.max(np.abs(quad))))
         if float(np.max(np.abs(quad - quad.T))) > 1e-9 * scale:
             raise ValueError("quadratic part must be symmetric")
@@ -94,24 +92,16 @@ class ComplexGaussianForm:
         object.__setattr__(self, "quad", quad)
         object.__setattr__(self, "lin", lin)
 
-    @property
-    def dim(self) -> int:
-        return self.quad.shape[0]
-
-    @property
-    def modes(self) -> int:
-        return self.dim // 2
-
     def is_integrable(self) -> bool:
         """Re(quad) positive-definite, by leading principal minors."""
         s_part = self.quad.real
-        for k in range(1, self.dim + 1):
+        for k in (1, 2):
             if np.linalg.det(s_part[:k, :k]) <= 0.0:
                 return False
         return True
 
     def evaluate(self, points) -> np.ndarray:
-        """Complex values at real points of shape (..., 2M)."""
+        """Complex values at real points of shape (..., 2)."""
         pts = np.asarray(points, dtype=float)
         expo = pts @ self.lin - 0.5 * np.einsum("...i,...i->...", pts @ self.quad, pts)
         if self.prefactor == 0.0:
@@ -119,34 +109,6 @@ class ComplexGaussianForm:
         # keep the prefactor in the exponent so tiny-prefactor / large-field
         # terms near the ordering supremum do not overflow the plain product
         return np.exp(expo + cmath.log(self.prefactor))
-
-    def analytic_integral(self) -> complex:
-        """Int f d^{2M}x = prefactor (2 pi)^M det(A)^{-1/2} e^{L^T A^{-1} L / 2}."""
-        if not self.is_integrable():
-            raise NotIntegrable("form does not decay in all directions")
-        sol = np.linalg.solve(self.quad, self.lin)
-        return (
-            self.prefactor
-            * (2.0 * math.pi) ** self.modes
-            / _sqrt_det(self.quad)
-            * cmath.exp(0.5 * complex(self.lin @ sol))
-        )
-
-    def envelope(self):
-        """(peak, center, precision) of |f|: |f(y)| = peak e^{-(y-c)^T S (y-c)/2}."""
-        s_part = self.quad.real
-        b_part = self.lin.real
-        center = np.linalg.solve(s_part, b_part)
-        scale = abs(self.prefactor)
-        if scale == 0.0:
-            return 0.0, center, s_part
-        exponent = math.log(scale) + 0.5 * float(b_part @ center)
-        if exponent > 700.0:
-            raise OrderingTooHigh(
-                "PQD term peak overflows this close to the integrability boundary"
-            )
-        peak = math.exp(exponent)
-        return peak, center, s_part
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +181,6 @@ class GaussianState:
             raise ValueError("mean photon number must be >= 0")
         return cls((2.0 * nbar + 1.0) * np.eye(2), np.zeros(2))
 
-    @classmethod
-    def product(cls, *factors: "GaussianState") -> "GaussianState":
-        covs = [f.cov for f in factors]
-        dim = sum(c.shape[0] for c in covs)
-        cov = np.zeros((dim, dim))
-        off = 0
-        for c in covs:
-            cov[off : off + c.shape[0], off : off + c.shape[0]] = c
-            off += c.shape[0]
-        return cls(cov, np.concatenate([f.mean for f in factors]))
-
 
 def gaussian_pqd(state: GaussianState, t_vec) -> "PqdFunction":
     """t-ordered PQD of a single-mode Gaussian state as one positive real term.
@@ -260,7 +211,7 @@ def gaussian_pqd(state: GaussianState, t_vec) -> "PqdFunction":
         - 0.5 * float(np.sum(np.log(vals)))
         - 2.0 * float(state.mean @ inv @ state.mean)
     )
-    return PqdFunction([log_pref], [4.0 * inv], [4.0 * inv @ state.mean], [False], t)
+    return PqdFunction([log_pref], [4.0 * inv], [4.0 * inv @ state.mean], [False])
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +228,14 @@ def dyadic_char(ket: Branch, bra: Branch, t: float) -> ComplexGaussianForm:
     w = xi mu - conj(xi) nu e^{i phi}), fold S(xi_b)^dag S(xi_k) into a
     single squeeze times the metaplectic phase, rotate the displacement and
     the ket through that phase, and close with the normal-ordered matrix
-    element <gamma|S(xi~)|delta>.  The result is quadratic in x with
+    element <gamma|S(xi~)|delta> (branch_overlap, the xi = 0 value).  The
+    result is quadratic in x with
 
         A_ij = conj(zeta~) d_i d_j + Re(d_i conj(d_j)) - t delta_ij,
         d_1 = (mu_k - nu_k e^{i phi_k}) e^{i Phi/2},
         d_2 = i (mu_k + nu_k e^{i phi_k}) e^{i Phi/2},
 
-    and the t-independent linear/constant parts assembled below.
+    and the t-independent linear part assembled below.
     """
     alpha = ket.alpha
     gamma = bra.alpha
@@ -314,15 +266,7 @@ def dyadic_char(ket: Branch, bra: Branch, t: float) -> ComplexGaussianForm:
     lin = np.array(
         [u * d1 - a_rot * d1.conjugate(), u * d2 - a_rot * d2.conjugate()], dtype=complex
     )
-
-    const = (
-        0.5 * zt * g * g
-        - 0.5 * ztc * a_rot * a_rot
-        - 0.5 * (abs(gamma) ** 2 + abs(alpha) ** 2)
-        + g * a_rot / mu_t
-    )
-    pref = cmath.exp(0.25j * phi_t) / math.sqrt(mu_t) * cmath.exp(const)
-    return ComplexGaussianForm(pref, quad, lin)
+    return ComplexGaussianForm(branch_overlap(bra, ket), quad, lin)
 
 
 def dyadic_char_squeezed_coherent(
@@ -354,10 +298,10 @@ def dyadic_char_squeezed_vacua(r: float, phi: float, psi: float, t: float) -> Co
 def fourier_transform_form(char: ComplexGaussianForm) -> ComplexGaussianForm:
     """beta-space Gaussian of a characteristic-side Gaussian (exact).
 
-    Completing the square in Int d^{2M}x/pi^{2M} f(x) e^{i(2 R y).x} gives
+    Completing the square in Int d^2x/pi^2 f(x) e^{i(2 R y).x} gives
 
         A' = 4 R^T A^{-1} R,   L' = 2i R^T A^{-1} L,
-        C' = C (2/pi)^M det(A)^{-1/2} e^{L^T A^{-1} L / 2}.
+        C' = C (2/pi) det(A)^{-1/2} e^{L^T A^{-1} L / 2}.
 
     Raises NotIntegrable when Re(A) is not positive-definite (the PQD at
     this ordering is delta-like, e.g. the P function of a coherent state).
@@ -366,13 +310,11 @@ def fourier_transform_form(char: ComplexGaussianForm) -> ComplexGaussianForm:
         raise NotIntegrable(
             "characteristic function is not Fourier-integrable at this ordering"
         )
-    m_modes = char.modes
-    rot = np.kron(np.eye(m_modes), _R_BLOCK)
     inv = np.linalg.inv(char.quad)
     inv = 0.5 * (inv + inv.T)
-    quad = 4.0 * rot.T @ inv @ rot
+    quad = 4.0 * _R_BLOCK.T @ inv @ _R_BLOCK
     quad = 0.5 * (quad + quad.T)
-    lin = 2j * rot.T @ inv @ char.lin
+    lin = 2j * _R_BLOCK.T @ inv @ char.lin
     if char.prefactor == 0.0:
         return ComplexGaussianForm(0.0, quad, lin)
     # the completed square can reach +-1e6 within ~1e-6 of the ordering
@@ -380,7 +322,7 @@ def fourier_transform_form(char: ComplexGaussianForm) -> ComplexGaussianForm:
     # form the (prefactor, quad, lin) representation cannot hold
     log_pref = (
         cmath.log(char.prefactor)
-        + m_modes * math.log(2.0 / math.pi)
+        + math.log(2.0 / math.pi)
         - cmath.log(_sqrt_det(char.quad))
         + 0.5 * complex(char.lin @ inv @ char.lin)
     )
@@ -425,7 +367,7 @@ def superposition_pqd(state: SuperpositionState, t: float) -> "PqdFunction":
                 terms.append((log_pref.real, form.quad.real, form.lin.real, False))
             else:
                 terms.append((log_pref + _LOG2, form.quad, form.lin, True))
-    return PqdFunction(*zip(*terms), float(t))
+    return PqdFunction(*zip(*terms))
 
 
 # Points per kernel chunk.  The chunk's monomial basis and term exponents
@@ -466,7 +408,6 @@ class PqdFunction:
     quad: np.ndarray
     lin: np.ndarray
     pair: np.ndarray
-    ordering: float
 
     def __post_init__(self):
         n = len(self.log_pref)
@@ -558,11 +499,6 @@ class PqdFunction:
 
     def __call__(self, beta) -> np.ndarray:
         return self._at(beta)
-
-    def evaluate_complex(self, beta) -> np.ndarray:
-        """The term sum as a complex array; its imaginary part is zero, since
-        conjugate terms are folded into real pairs when the PQD is built."""
-        return np.asarray(self._at(beta), dtype=complex)
 
     def envelope_at(self, beta) -> np.ndarray:
         """sum_k |f_k(beta)|, a pair's modulus with its factor 2; bounds |W|."""

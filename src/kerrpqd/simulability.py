@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import OrderingTooLow, PreconditionViolated
 from .negativity import EPS_NEG_DEFAULT, negativity_volume
-from .phase_space import GaussianState, gaussian_pqd, superposition_pqd
-from .states import SuperpositionState
+from .phase_space import GaussianState, PqdFunction, gaussian_pqd, superposition_pqd
 
 __all__ = [
     "NoiseParams",
@@ -260,27 +259,14 @@ def thermal_threshold_verdict(noise: NoiseParams) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_sampler(state: GaussianState, t: float):
-    pqd = gaussian_pqd(state, t)  # validates the ordering
-    del pqd
-    sigma = state.cov - t * np.eye(2)
-    chol = np.linalg.cholesky(0.25 * sigma)
-    mean = state.mean
-
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        return mean + rng.standard_normal((size, 2)) @ chol.T
-
-    return draw
-
-
-def _rejection_sampler(state: SuperpositionState, t: float):
+def _rejection_sampler(pqd: PqdFunction):
     """Sample the (non-negative) PQD under its term-envelope mixture.
 
     env(y) = sum_k |f_k(y)| >= |W(y)| pointwise (PqdFunction.envelope_at),
     so acceptance with probability max(W, 0)/env is exact; the envelope is a
-    Gaussian mixture with weights given by the term masses.
+    Gaussian mixture with weights given by the term masses.  A one-term
+    (Gaussian) PQD equals its envelope, so every draw is accepted.
     """
-    pqd = superposition_pqd(state, t)
     peaks, centers, precs = pqd.envelopes()
     covs = np.linalg.inv(precs)
     chols = np.linalg.cholesky(0.5 * (covs + np.swapaxes(covs, 1, 2)))
@@ -329,9 +315,15 @@ def estimate_click_probability(
     no-click detector PQD at ordering -s.  `s` defaults to the detector
     threshold s_bar.
 
+    The input is sampled from its PQD's term mixture, a Gaussian state's
+    (gaussian_pqd) or a superposition's (superposition_pqd).
+
     Raises PreconditionViolated when any of the three positivity
     certificates fails: s below s_bar, non-positive kernel margin, or input
-    negativity above eps_neg.
+    negativity above eps_neg.  The negativity is computed only for t > -1
+    and a PQD with interference terms.  The diagonal terms are positive
+    Gaussians; at t = -1 the PQD is the Husimi function, non-negative for
+    every state, and below it that function smoothed by a positive Gaussian.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples for a standard error")
@@ -348,20 +340,16 @@ def estimate_click_probability(
         )
 
     if isinstance(state, GaussianState):
-        if state.num_modes != 1:
-            raise ValueError("the estimator is single-mode")
-        draw = _gaussian_sampler(state, t)
+        pqd = gaussian_pqd(state, t)
     else:
-        if len(state.branches) == 1:
-            b = state.branches[0]
-            draw = _gaussian_sampler(GaussianState.squeezed_coherent(b.alpha, b.squeeze), t)
-        else:
-            value, err = negativity_volume(state, t)
-            if value > eps_neg:
-                raise PreconditionViolated(
-                    f"input PQD negativity {value:.3e} exceeds eps_neg={eps_neg!r} at t={t!r}"
-                )
-            draw = _rejection_sampler(state, t)
+        pqd = superposition_pqd(state, t)
+    if t > -1.0 and pqd.pair.any():
+        value, err = negativity_volume(state, t)
+        if value > eps_neg:
+            raise PreconditionViolated(
+                f"input PQD negativity {value:.3e} exceeds eps_neg={eps_neg!r} at t={t!r}"
+            )
+    draw = _rejection_sampler(pqd)
 
     off = detector_pqd_off(noise, s)
     amp = math.pi * off.amplitude

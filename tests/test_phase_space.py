@@ -9,6 +9,7 @@ from kerrpqd.errors import NotIntegrable, OrderingTooHigh
 from kerrpqd.phase_space import (
     ComplexGaussianForm,
     GaussianState,
+    PqdFunction,
     dyadic_char,
     dyadic_char_squeezed_coherent,
     dyadic_char_squeezed_vacua,
@@ -46,12 +47,13 @@ def test_form_envelope_bounds_modulus():
         quad = base @ base.T + 0.3 * np.eye(2) + 1j * rng.uniform(-0.5, 0.5, (2, 2))
         quad = 0.5 * (quad + quad.T)
         lin = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
-        form = ComplexGaussianForm(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), quad, lin)
-        peak, center, prec = form.envelope()
+        prefactor = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        pqd = PqdFunction([cmath.log(prefactor)], [quad], [lin], [True])
+        peaks, centers, precs = pqd.envelopes()
         pts = rng.uniform(-3, 3, (200, 2))
-        vals = np.abs(form.evaluate(pts))
-        d = pts - center
-        bound = peak * np.exp(-0.5 * np.einsum("ni,ij,nj->n", d, prec, d))
+        vals = np.abs(pqd(pts[:, 0] + 1j * pts[:, 1]))
+        d = pts - centers[0]
+        bound = peaks[0] * np.exp(-0.5 * np.einsum("ni,ij,nj->n", d, precs[0], d))
         assert (vals <= bound * (1.0 + 1e-9)).all()
 
 
@@ -224,8 +226,11 @@ def test_superposition_pqd_normalization_and_reality():
     for t in (-1.0, -0.5, 0.0):
         pqd = superposition_pqd(state, t)
         assert abs(pqd.analytic_integral() - 1.0) < 1e-8
-        vals = pqd.evaluate_complex(AXIS[:, None] + 1j * AXIS[None, :])
-        assert np.abs(vals.imag).max() <= 1e-9 * np.abs(vals.real).max()
+        # real by construction: conjugate pairs are folded when the PQD is
+        # built (test_properties checks the conjugate symmetry)
+        vals = pqd(AXIS[:, None] + 1j * AXIS[None, :])
+        assert vals.dtype == np.float64
+        assert abs(vals.sum() * (AXIS[1] - AXIS[0]) ** 2 - 1.0) < 1e-4
 
 
 def test_superposition_pqd_husimi_floor():

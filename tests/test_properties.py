@@ -10,8 +10,20 @@ from hypothesis import strategies as st
 
 from kerrpqd import negativity, phase_space
 from kerrpqd.negativity import integrable_ordering_sup
-from kerrpqd.phase_space import dyadic_char, fourier_transform_form, superposition_pqd
-from kerrpqd.states import Branch, SqueezeParam, kerr_squeezed_vacuum, squeeze_then_kerr_state
+from kerrpqd.phase_space import (
+    GaussianState,
+    dyadic_char,
+    fourier_transform_form,
+    gaussian_pqd,
+    superposition_pqd,
+)
+from kerrpqd.states import (
+    Branch,
+    SqueezeParam,
+    SuperpositionState,
+    kerr_squeezed_vacuum,
+    squeeze_then_kerr_state,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -50,15 +62,37 @@ def test_swapped_pair_is_the_conjugate_form(ket, bra, frac):
 
 
 def unfolded(state, t, y):
-    """(Re sum, sum of moduli) of the K^2 branch-pair terms at points y (..., 2)."""
-    vals = np.array(
-        [
-            ket.coeff * bra.coeff.conjugate() * fourier_transform_form(dyadic_char(ket, bra, t)).evaluate(y)
-            for ket in state.branches
-            for bra in state.branches
-        ]
-    )
-    return vals.sum(axis=0).real, np.abs(vals).sum(axis=0)
+    """(Re sum, sum of moduli) of the K^2 branch-pair terms at points y (..., 2).
+
+    The float64 forms are evaluated in long double -- exponent, exp and cos --
+    so that the reference's own rounding stays far below the kernel's.
+    """
+    u, v = (np.asarray(y[..., i], dtype=np.longdouble) for i in (0, 1))
+    re_sum = np.zeros(u.shape, dtype=np.longdouble)
+    mod_sum = np.zeros(u.shape, dtype=np.longdouble)
+    for ket in state.branches:
+        for bra in state.branches:
+            form = fourier_transform_form(dyadic_char(ket, bra, t))
+            scale = ket.coeff * bra.coeff.conjugate() * form.prefactor
+            if scale == 0.0:
+                continue
+            log_scale = cmath.log(scale)
+            re_expo, im_expo = (
+                np.longdouble(c)
+                + np.longdouble(b[0]) * u
+                + np.longdouble(b[1]) * v
+                - np.longdouble(a[0, 0]) / 2 * u * u
+                - np.longdouble(a[0, 1]) * u * v
+                - np.longdouble(a[1, 1]) / 2 * v * v
+                for c, a, b in (
+                    (log_scale.real, form.quad.real, form.lin.real),
+                    (log_scale.imag, form.quad.imag, form.lin.imag),
+                )
+            )
+            modulus = np.exp(re_expo)
+            re_sum += modulus * np.cos(im_expo)
+            mod_sum += modulus
+    return re_sum.astype(float), mod_sum.astype(float)
 
 
 @SETTINGS
@@ -143,3 +177,34 @@ def test_envelope_bounds_the_pqd_and_matches_the_term_gaussians(state, frac, x1,
     d = np.stack([points.real, points.imag], axis=-1)[..., None, :] - centers
     ref = (peaks * np.exp(-0.5 * np.einsum("...ki,kij,...kj->...k", d, precs, d))).sum(axis=-1)
     assert np.all(np.abs(env - ref) <= 1e-12 * ref)
+
+
+def heated_squeezed_coherent(alpha, squeeze, heat):
+    """A squeezed coherent state with its covariance scaled by heat >= 1."""
+    pure = GaussianState.squeezed_coherent(alpha, squeeze)
+    return GaussianState(heat * pure.cov, pure.mean)
+
+
+gaussian_states = st.builds(heated_squeezed_coherent, alphas, squeezes, st.floats(1.0, 3.0))
+single_branches = st.builds(
+    lambda branch: SuperpositionState((branch,)), st.builds(Branch, st.just(1.0), alphas, squeezes)
+)
+
+
+@SETTINGS
+@given(
+    state=st.one_of(gaussian_states, single_branches),
+    frac=st.floats(0.0, 1.0),
+    x1=axes,
+    x2=axes,
+)
+def test_one_term_pqd_is_its_own_envelope(state, frac, x1, x2):
+    """The sampler accepts every draw of a Gaussian input, because W and the
+    envelope of a one-term PQD are the same bits."""
+    if isinstance(state, GaussianState):
+        t_sup = float(np.linalg.eigvalsh(state.cov)[0])
+        pqd = gaussian_pqd(state, ordering(t_sup, frac))
+    else:
+        pqd = superposition_pqd(state, ordering(integrable_ordering_sup(state), frac))
+    points = x1[:, None] + 1j * x2[None, :]
+    assert np.array_equal(pqd(points), pqd.envelope_at(points))

@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from kerrpqd import simulability
 from kerrpqd.errors import OrderingTooLow, PreconditionViolated
 from kerrpqd.fock_oracle import (
     build_state,
@@ -363,6 +364,18 @@ def test_mc_rejects_negative_pqd_state():
     state = squeeze_then_kerr_state(3, 1.0, SqueezeParam(0.2))
     with pytest.raises(PreconditionViolated):
         estimate_click_probability(state, MC_NOISE, t=0.0, n_samples=1000)
+
+
+def test_mc_checks_negativity_only_above_the_husimi_ordering():
+    """At t = -1 the PQD is the Husimi function, non-negative for every
+    state, so only t > -1 pays for the negativity volume."""
+    state = squeeze_then_kerr_state(3, 1.0, SqueezeParam(0.2))
+    noise = NoiseParams(eta_L=0.5, eta_D=0.8, p_D=0.6)  # samplable down to t = -0.5
+    with mock.patch.object(simulability, "negativity_volume", return_value=(0.0, 0.0)) as volume:
+        estimate_click_probability(state, noise, t=-1.0, n_samples=1000)
+        volume.assert_not_called()
+        estimate_click_probability(state, noise, t=-0.5, n_samples=1000)
+        volume.assert_called_once_with(state, -0.5)
 
 
 def test_mc_validation():
