@@ -21,6 +21,7 @@ negativity floors feasible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -450,11 +451,25 @@ def find_threshold(
 ) -> float:
     """Largest ordering t with N(t) <= eps_neg, located to within tol_t.
 
-    Bisection runs on [-1, t_sup]: the Husimi point t = -1 is non-negative
-    for every state, so it certifies the lower end; if negativity persists
-    for every t > -1 the function returns -1.0 exactly.  Single-branch
-    (Gaussian) states are positive wherever defined and return t_sup
-    immediately.
+    The search runs on [-1, t_sup].  The Husimi point t = -1 is
+    non-negative for every state, so it certifies the lower end.
+    Single-branch (Gaussian) states are positive wherever defined and
+    return t_sup immediately.
+
+    N(t) is non-decreasing in t: a lower ordering is a higher one smoothed
+    by a positive Gaussian, and smoothing cannot create negativity.  So the
+    search first asks whether t = -1 + tol_t (or t_sup, if nearer) is
+    below the floor.  If it is not, no t >= -1 + tol_t is either, and the
+    answer is -1.0, the Husimi end.  Otherwise t_sup is checked, and then
+    [-1, t_sup] is bisected down to tol_t.  No ordering is decided twice.
+
+    Each "is N(t) <= eps_neg?" is decided on a ladder of quadrature specs,
+    cheapest first: spec at tolerances eps_neg/10, eps_neg/100, ... while
+    they are coarser than spec.tol; spec itself; and a tight spec at
+    min(spec.tol, eps_neg/4) with two more refinement levels.  The first
+    rung whose estimate lies more than 3 err from eps_neg gives the answer;
+    if none does, the tight rung's value does.  An ordering where the PQD
+    cannot be evaluated or its tail bound fails counts as not below.
     """
     if not eps_neg > 0:
         raise ValueError("negativity floor must be positive")
@@ -467,18 +482,26 @@ def find_threshold(
         return t_sup
 
     focus = husimi_zero_candidates(state, window=spec.window)
+    rungs = []
+    k = 1
+    # a coarse tolerance equal to spec.tol up to rounding is spec itself
+    while (tol := eps_neg / 10**k) > spec.tol and not math.isclose(tol, spec.tol):
+        rungs.append(replace(spec, tol=tol))
+        k += 1
+    tight = replace(
+        spec,
+        tol=min(spec.tol, max(eps_neg / 4.0, 1e-12)),
+        refine_depth=spec.refine_depth + 2,
+    )
+    rungs += [spec, tight]
 
+    @functools.cache  # no ordering is decided twice in one search
     def below(t: float) -> bool:
         try:
-            val, err = negativity_volume(state, t, spec, focus=focus, workers=workers)
-            if abs(val - eps_neg) > 3.0 * err:
-                return val <= eps_neg
-            tight = replace(
-                spec,
-                tol=min(spec.tol, max(eps_neg / 4.0, 1e-12)),
-                refine_depth=spec.refine_depth + 2,
-            )
-            val, err = negativity_volume(state, t, tight, focus=focus, workers=workers)
+            for rung in rungs:
+                val, err = negativity_volume(state, t, rung, focus=focus, workers=workers)
+                if abs(val - eps_neg) > 3.0 * err:
+                    break
         except (OrderingTooHigh, TailBoundExceeded):
             # this close to the integrability supremum the PQD cannot be
             # evaluated; treat it as not certified and keep bisecting lower
@@ -488,6 +511,8 @@ def find_threshold(
     lo = -1.0
     hi = t_sup
     if hi <= lo:
+        return lo
+    if not below(min(lo + tol_t, hi)):
         return lo
     if below(hi):
         return hi

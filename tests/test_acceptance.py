@@ -3,7 +3,7 @@
 One test per criterion, each printing a single PASS/FAIL line with the
 measured numbers (visible with -s, or in the captured output on failure).
 The threshold table in criterion 3 dominates the runtime; the whole module
-takes roughly ten minutes on four cores.
+takes about 15 s on two cores.
 """
 
 import math

@@ -1,10 +1,12 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from kerrpqd.errors import NotIntegrable, TailBoundExceeded
+from kerrpqd import negativity
+from kerrpqd.errors import NotIntegrable, OrderingTooHigh, TailBoundExceeded
 from kerrpqd.fock_oracle import build_state, oracle_pqd_grid
 from kerrpqd.negativity import (
     NegativityCurve,
@@ -160,6 +162,134 @@ def test_find_threshold_negative_state_hits_husimi_end():
     state = kerr_coherent_state(2, 1.5)
     spec = replace(QuadratureSpec.for_state(state), tol=1e-5)
     assert find_threshold(state, eps_neg=1e-9, tol_t=5e-3, spec=spec, workers=2) == -1.0
+
+
+def reference_threshold(state, eps_neg, tol_t):
+    """The plain bisection: t_sup first, then midpoints of [-1, t_sup], each
+    decided at spec.tol with one tight re-check when that is undecided."""
+    spec = QuadratureSpec.for_state(state)
+    focus = husimi_zero_candidates(state, window=spec.window)
+    tight = replace(
+        spec, tol=min(spec.tol, max(eps_neg / 4.0, 1e-12)), refine_depth=spec.refine_depth + 2
+    )
+
+    def below(t):
+        try:
+            val, err = negativity_volume(state, t, spec, focus=focus)
+            if abs(val - eps_neg) <= 3.0 * err:
+                val, err = negativity_volume(state, t, tight, focus=focus)
+        except (OrderingTooHigh, TailBoundExceeded):
+            return False
+        return val <= eps_neg
+
+    lo, hi = -1.0, integrable_ordering_sup(state)
+    if below(hi):
+        return hi
+    while hi - lo > tol_t:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_find_threshold_probes_the_husimi_end_first():
+    # N(-1 + tol_t) is far above 1e-9, so the probe and its tight rung settle
+    # the search; a bisection from t_sup makes about 12 volume calls
+    state = kerr_coherent_state(2, 1.5)
+    with mock.patch.object(
+        negativity, "negativity_volume", wraps=negativity.negativity_volume
+    ) as volume:
+        assert find_threshold(state, eps_neg=1e-9) == -1.0
+    assert volume.call_count <= 2
+
+
+@pytest.mark.parametrize(
+    "state, expected",
+    [
+        (squeeze_then_kerr_state(2, 1.0, SqueezeParam(0.2)), -0.91436),
+        (kerr_coherent_state(2, 1.5), -0.90430),
+    ],
+)
+def test_find_threshold_equals_the_plain_bisection(state, expected):
+    t_bar = find_threshold(state, eps_neg=1e-3)
+    assert t_bar == reference_threshold(state, 1e-3, negativity.TOL_T_DEFAULT)
+    assert t_bar == pytest.approx(expected, abs=1e-5)
+
+
+@pytest.mark.parametrize(
+    "state", [squeeze_then_kerr_state(2, 1.0, SqueezeParam(0.2)), kerr_coherent_state(2, 1.5)]
+)
+def test_coarse_threshold_decisions_hold_at_the_spec_tolerance(state):
+    eps_neg = 1e-3
+    spec = QuadratureSpec.for_state(state)
+    calls = []
+
+    def record(state, t, rung, **kwargs):
+        val, err = negativity_volume(state, t, rung, **kwargs)
+        calls.append((t, rung, val, err, kwargs))
+        return val, err
+
+    with mock.patch.object(negativity, "negativity_volume", side_effect=record):
+        find_threshold(state, eps_neg=eps_neg)
+    coarse = [
+        (t, val, kwargs)
+        for t, rung, val, err, kwargs in calls
+        if rung.tol > spec.tol and abs(val - eps_neg) > 3.0 * err
+    ]
+    assert coarse
+    for t, val, kwargs in coarse:
+        ref, _ = negativity_volume(state, t, spec, **kwargs)
+        assert (ref <= eps_neg) == (val <= eps_neg), t
+
+
+def test_find_threshold_climbs_the_ladder_until_a_rung_separates():
+    # a stand-in quadrature that is off by 0.9 tol and reports err = tol: a
+    # rung may answer only once 3 err separates its value from the floor,
+    # else the coarse rungs' bias moves t_bar off the exact threshold -0.9
+    state = kerr_coherent_state(2, 1.5)
+    eps_neg, tol_t = 1e-3, 1e-3
+    spec = QuadratureSpec.for_state(state)
+    ladder = [1e-4, 1e-5, spec.tol, spec.tol]
+    calls = {}
+
+    def biased(t, tol):
+        return 0.1 * (1 + t) ** 2 + 0.9 * tol
+
+    def volume(s, t, rung, **kwargs):
+        calls.setdefault(t, []).append(rung.tol)
+        return biased(t, rung.tol), rung.tol
+
+    with mock.patch.object(negativity, "negativity_volume", side_effect=volume):
+        t_bar = find_threshold(state, eps_neg=eps_neg, tol_t=tol_t)
+    assert abs(t_bar + 0.9) <= tol_t
+    for t, tols in calls.items():
+        assert tols == ladder[: len(tols)]
+        assert all(abs(biased(t, tol) - eps_neg) <= 3.0 * tol for tol in tols[:-1])
+        assert len(tols) == len(ladder) or abs(biased(t, tols[-1]) - eps_neg) > 3.0 * tols[-1]
+    assert max(len(tols) for tols in calls.values()) >= 3
+
+
+@pytest.mark.parametrize("tol_t, eps_neg", [(2.5, 0.5), (1e-3, 0.1)])
+def test_find_threshold_decides_each_ordering_once(tol_t, eps_neg):
+    # a stand-in N(t) = 0.1 (1 + t)^2 with err 0 decides on the first rung.
+    # At tol_t = 2.5 the Husimi-end probe is t_sup itself, below 0.5; at
+    # 0.1 the threshold is t = 0
+    state = kerr_coherent_state(2, 1.5)
+    t_sup = integrable_ordering_sup(state)
+
+    def stand_in(s, t, rung, **kwargs):
+        return 0.1 * (1 + t) ** 2, 0.0
+
+    with mock.patch.object(negativity, "negativity_volume", side_effect=stand_in) as volume:
+        t_bar = find_threshold(state, eps_neg=eps_neg, tol_t=tol_t)
+    orderings = [c.args[1] for c in volume.call_args_list]
+    assert len(orderings) == len(set(orderings))
+    if tol_t > 1.0:
+        assert t_bar == t_sup and orderings == [t_sup]
+    else:
+        assert -tol_t <= t_bar <= 0.0 and len(orderings) > 3
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kerrpqd import negativity, phase_space
-from kerrpqd.negativity import integrable_ordering_sup
+from kerrpqd.negativity import QuadratureSpec, integrable_ordering_sup, negativity_volume
 from kerrpqd.phase_space import (
     GaussianState,
     dyadic_char,
@@ -208,3 +208,23 @@ def test_one_term_pqd_is_its_own_envelope(state, frac, x1, x2):
         pqd = superposition_pqd(state, ordering(integrable_ordering_sup(state), frac))
     points = x1[:, None] + 1j * x2[None, :]
     assert np.array_equal(pqd(points), pqd.envelope_at(points))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    state=cat_states.filter(lambda state: len(state) <= 3),
+    f1=st.floats(0.0, 1.0, exclude_min=True),
+    f2=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_negativity_is_non_decreasing_in_the_ordering(state, f1, f2):
+    """N(t1) <= N(t2) for t1 < t2, the premise of find_threshold's
+    Husimi-end probe: a lower ordering is a higher one smoothed by a
+    positive Gaussian."""
+    f1, f2 = sorted((f1, f2))
+    assume(f1 < f2)
+    span = integrable_ordering_sup(state) - 0.05 + 1.0
+    t1, t2 = -1.0 + f1 * span, -1.0 + f2 * span
+    spec = QuadratureSpec.for_state(state, tol=1e-4)
+    n1, e1 = negativity_volume(state, t1, spec)
+    n2, e2 = negativity_volume(state, t2, spec)
+    assert n1 <= n2 + e1 + e2
