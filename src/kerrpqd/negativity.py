@@ -8,15 +8,16 @@ integrals telescope to the squared norm), so
 The right-hand side is the quantity integrated here: it vanishes
 identically outside the negativity pockets, so the quadrature error is
 controlled by the pocket rims alone and the smooth positive bulk costs
-nothing.  Midpoint sums on dyadic refinements supply a Richardson-style
-error estimate; the plane outside the window is charged with an analytic
-Gaussian tail bound per term.
+nothing.  One loop of midpoint sums on dyadic refinements (_refine) serves
+every region; its error estimate is the difference of its last two levels,
+and the plane outside the window is charged with an analytic Gaussian tail
+bound per term.
 
 Near t = -1 the pockets shrink onto the zeros of the Husimi function and
-fall below any fixed grid.  Those zeros are located once per state, and
-square patches around them are cut out of the global grid and integrated
-on much finer local grids, which is what makes threshold searches at tight
-negativity floors feasible.
+fall below any fixed grid.  Those zeros are located once per state; square
+boxes around them are left out of the global grid and run through the same
+loop on much finer local grids, which is what makes threshold searches at
+tight negativity floors feasible.
 """
 
 from __future__ import annotations
@@ -238,12 +239,14 @@ def _midpoint_axis(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (np.arange(n) + 0.5) * h
 
 
-def _negative_mass_grid(pqd: PqdFunction, x1, x2, workers: int = 1) -> float:
-    """Sum of max(-W, 0) over the tensor grid.
+def _negative_mass_grid(pqd: PqdFunction, x1, x2, holes=(), workers: int = 1) -> float:
+    """Sum of max(-W, 0) over the tensor grid, with the cells of `holes` left out.
 
-    Rows are evaluated in blocks of about _BLOCK_POINTS points; each row is
-    summed on its own and the row sums exactly (fsum), so the result does
-    not depend on the blocking or on the worker count.
+    `holes` are index rectangles (i0, i1, j0, j1), ends exclusive.  Rows are
+    evaluated in blocks of about _BLOCK_POINTS points and the hole cells of
+    each block are zeroed; each row is summed on its own and the row sums
+    exactly (fsum), so the result does not depend on the blocking or on the
+    worker count.
     """
     n1 = x1.size
     block = max(1, _BLOCK_POINTS // max(x2.size, 1))
@@ -252,6 +255,8 @@ def _negative_mass_grid(pqd: PqdFunction, x1, x2, workers: int = 1) -> float:
         w = pqd.evaluate_grid(x1[lo:hi], x2)
         np.negative(w, out=w)
         np.maximum(w, 0.0, out=w)
+        for i0, i1, j0, j1 in holes:
+            w[max(i0 - lo, 0) : max(i1 - lo, 0), j0:j1] = 0.0
         return w.sum(axis=1)
 
     ranges = [(lo, min(lo + block, n1)) for lo in range(0, n1, block)]
@@ -265,57 +270,35 @@ def _negative_mass_grid(pqd: PqdFunction, x1, x2, workers: int = 1) -> float:
     return math.fsum(np.concatenate(sums))
 
 
-def _global_masked(pqd, spec, boxes, level: int, workers: int) -> float:
-    """Masked midpoint sum at dyadic level `level` (integral, not density)."""
-    n = spec.base_resolution * (1 << level)
-    scale = 1 << level
-    w = spec.window
-    h = 2.0 * w / n
-    x1 = _midpoint_axis(-w, w, n)
-    x2 = _midpoint_axis(-w, w, n)
+def _refine(pqd, rect, n: int, n_max: int, tol: float, holes, workers: int):
+    """(value, err) of Int max(-W, 0) over rect = (x_lo, x_hi, y_lo, y_hi).
 
-    total = _negative_mass_grid(pqd, x1, x2, workers)
-    # remove box interiors; box edges coincide with cell edges at every level
-    inside = []
-    for (i0, i1, j0, j1) in boxes:
-        a, b = i0 * scale, i1 * scale
-        c, d = j0 * scale, j1 * scale
-        if b > a and d > c:
-            inside.append(_negative_mass_grid(pqd, x1[a:b], x2[c:d], workers))
-    return (total - math.fsum(inside)) * h * h
-
-
-def _patch_integral(pqd, spec, box, tol_local: float, workers: int):
-    """(mass, err) over one box via local midpoint refinement."""
-    h0 = 2.0 * spec.window / spec.base_resolution
-    x_lo = -spec.window + box[0] * h0
-    x_hi = -spec.window + box[1] * h0
-    y_lo = -spec.window + box[2] * h0
-    y_hi = -spec.window + box[3] * h0
-    side = max(x_hi - x_lo, y_hi - y_lo)
-
-    n = 8 * max(box[1] - box[0], box[3] - box[2])  # start 8x finer than global
+    Midpoint sums run on n, 2n, 4n, ... points per axis; err is |cur - prev|
+    of the last two levels, or the whole value if only one level ran.
+    Refinement stops once err <= tol, once two levels in a row are zero, or
+    after the first level with n >= n_max points.  `holes` are index
+    rectangles on the n-point start grid whose cells are left out; they are
+    scaled with each level, so their edges stay on cell edges.
+    """
+    x_lo, x_hi, y_lo, y_hi = rect
     prev = None
-    best = 0.0
-    err = _PATCH_FLOOR
     while True:
         x1 = _midpoint_axis(x_lo, x_hi, n)
         x2 = _midpoint_axis(y_lo, y_hi, n)
         cell = ((x_hi - x_lo) / n) * ((y_hi - y_lo) / n)
-        cur = _negative_mass_grid(pqd, x1, x2, workers) * cell
-        if prev is not None:
+        cur = _negative_mass_grid(pqd, x1, x2, holes, workers) * cell
+        if prev is None:
+            err = abs(cur)
+        else:
             err = abs(cur - prev)
-            best = cur
-            if err <= tol_local or (cur == 0.0 and prev == 0.0):
-                err = max(err, _PATCH_FLOOR)
+            if err <= tol or (cur == 0.0 and prev == 0.0):
                 break
-        prev = cur
-        best = cur
-        if side / n <= _PATCH_MIN_H or n >= 4096:
-            err = max(err, _PATCH_FLOOR)
+        if n >= n_max:
             break
+        prev = cur
         n *= 2
-    return best, max(err, _PATCH_FLOOR)
+        holes = [tuple(2 * k for k in box) for box in holes]
+    return cur, err
 
 
 def negativity_volume(
@@ -337,6 +320,12 @@ def negativity_volume(
     zeros) that receive fine local patches; pass the output of
     husimi_zero_candidates when sweeping many orderings of one state.
 
+    Every region goes through _refine: the global grid, with the focus
+    boxes left out, at tol/2 up to base_resolution << refine_depth points
+    per axis, and each box on its own finer grid at an even share of the
+    other tol/2.  err sums each region's last-level difference (at least
+    _PATCH_FLOOR per box) and the tail bound: an estimate, not a bound.
+
     Raises NotIntegrable if any branch pair fails at this t, and
     TailBoundExceeded if the analytic exterior bound alone exceeds the
     requested tolerance (window too small for this state).
@@ -356,7 +345,6 @@ def negativity_volume(
         )
     window = _pocket_window(tail_terms, spec)
     tail = 2.0 * _tail_outside(tail_terms, window)
-    local = replace(spec, window=window)
 
     if focus is None:
         focus = husimi_zero_candidates(state, window=window)
@@ -371,28 +359,29 @@ def negativity_volume(
     ):
         level += 1
 
-    budget = spec.tol
-    prev = _global_masked(pqd, local, boxes, level, workers)
-    cur = prev
-    err_global = abs(prev)
-    while level < spec.refine_depth:
-        level += 1
-        cur = _global_masked(pqd, local, boxes, level, workers)
-        err_global = abs(cur - prev)
-        if err_global <= 0.5 * budget or (cur == 0.0 and prev == 0.0):
-            break
-        prev = cur
+    holes = [tuple(k << level for k in box) for box in boxes]
+    square = (-window, window, -window, window)
+    n_max = spec.base_resolution << spec.refine_depth
+    mass_global, err_global = _refine(
+        pqd, square, spec.base_resolution << level, n_max, 0.5 * spec.tol, holes, workers
+    )
 
+    # each box on its own grid, from 8x its coarse cells to a step of
+    # _PATCH_MIN_H or 4096 points per axis
     patch_mass = 0.0
     patch_err = 0.0
-    if boxes:
-        tol_local = 0.5 * budget / len(boxes)
-        for box in boxes:
-            mass, perr = _patch_integral(pqd, local, box, tol_local, workers)
-            patch_mass += mass
-            patch_err += perr
+    h0 = 2.0 * window / spec.base_resolution
+    for i0, i1, j0, j1 in boxes:
+        rect = tuple(-window + k * h0 for k in (i0, i1, j0, j1))
+        side = max(rect[1] - rect[0], rect[3] - rect[2])
+        n = n_max = 8 * max(i1 - i0, j1 - j0)
+        while side / n_max > _PATCH_MIN_H and n_max < 4096:
+            n_max *= 2
+        mass, perr = _refine(pqd, rect, n, n_max, 0.5 * spec.tol / len(boxes), (), workers)
+        patch_mass += mass
+        patch_err += max(perr, _PATCH_FLOOR)
 
-    value = 2.0 * (cur + patch_mass)
+    value = 2.0 * (mass_global + patch_mass)
     err = 2.0 * (err_global + patch_err) + tail
     return value, err
 
@@ -461,7 +450,9 @@ def find_threshold(
     search first asks whether t = -1 + tol_t (or t_sup, if nearer) is
     below the floor.  If it is not, no t >= -1 + tol_t is either, and the
     answer is -1.0, the Husimi end.  Otherwise t_sup is checked, and then
-    [-1, t_sup] is bisected down to tol_t.  No ordering is decided twice.
+    [-1, t_sup] is bisected down to tol_t, or until the midpoint rounds
+    onto an end of the bracket (a tol_t below the float spacing there).
+    No ordering is decided twice.
 
     Each "is N(t) <= eps_neg?" is decided on a ladder of quadrature specs,
     cheapest first: spec at tolerances eps_neg/10, eps_neg/100, ... while
@@ -518,6 +509,8 @@ def find_threshold(
         return hi
     while hi - lo > tol_t:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # tol_t below the float spacing here
+            break
         if below(mid):
             lo = mid
         else:

@@ -271,11 +271,13 @@ def test_find_threshold_climbs_the_ladder_until_a_rung_separates():
     assert max(len(tols) for tols in calls.values()) >= 3
 
 
-@pytest.mark.parametrize("tol_t, eps_neg", [(2.5, 0.5), (1e-3, 0.1)])
+@pytest.mark.parametrize("tol_t, eps_neg", [(2.5, 0.5), (1e-3, 0.1), (1e-20, 1e-3)])
 def test_find_threshold_decides_each_ordering_once(tol_t, eps_neg):
     # a stand-in N(t) = 0.1 (1 + t)^2 with err 0 decides on the first rung.
     # At tol_t = 2.5 the Husimi-end probe is t_sup itself, below 0.5; at
-    # 0.1 the threshold is t = 0
+    # 0.1 the threshold is t = 0.  At 1e-3 it is t = -0.9, where a tol_t of
+    # 1e-20 is below the float spacing: the search must end once the
+    # midpoint rounds onto an end of the bracket
     state = kerr_coherent_state(2, 1.5)
     t_sup = integrable_ordering_sup(state)
 
@@ -288,8 +290,13 @@ def test_find_threshold_decides_each_ordering_once(tol_t, eps_neg):
     assert len(orderings) == len(set(orderings))
     if tol_t > 1.0:
         assert t_bar == t_sup and orderings == [t_sup]
-    else:
+    elif tol_t >= 1e-3:
         assert -tol_t <= t_bar <= 0.0 and len(orderings) > 3
+    else:
+        # t_bar and the next float up straddle the threshold
+        above = np.nextafter(t_bar, 0.0)
+        assert stand_in(state, t_bar, None)[0] <= eps_neg < stand_in(state, above, None)[0]
+        assert abs(t_bar + 0.9) < 1e-15 and len(orderings) <= 60
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +311,32 @@ def test_refinement_error_estimate_is_honest():
     v1, e1 = negativity_volume(SHOWCASE_STATE, -0.5, coarse)
     v2, _ = negativity_volume(SHOWCASE_STATE, -0.5, fine)
     assert abs(v1 - v2) <= e1 + 1e-6
+
+
+def test_holes_line_up_with_the_focus_boxes_at_every_level():
+    # at each of three levels the global grid leaves out exactly the cells
+    # whose midpoints lie in a focus box: the holed sum plus every box's own
+    # sum on the same grid is the whole-grid sum.  On this small window the
+    # pockets spill over the box edges, so a hole one cell off would show
+    w = 3.0
+    h0 = 2.0 * w / 64
+    pqd = superposition_pqd(SHOWCASE_STATE, -0.5)
+    boxes = negativity._focus_boxes(husimi_zero_candidates(SHOWCASE_STATE, window=w), w, 64)
+    assert len(boxes) == 3
+    grid_sum = negativity._negative_mass_grid
+    with mock.patch.object(negativity, "_negative_mass_grid", wraps=grid_sum) as spy:
+        negativity._refine(pqd, (-w, w, -w, w), 64, 256, 0.0, boxes, 1)
+    assert [c.args[1].size for c in spy.call_args_list] == [64, 128, 256]
+    for call in spy.call_args_list:
+        _, x1, x2, holes, _ = call.args
+        inside = []
+        for i0, i1, j0, j1 in boxes:
+            rows = (x1 > -w + i0 * h0) & (x1 < -w + i1 * h0)
+            cols = (x2 > -w + j0 * h0) & (x2 < -w + j1 * h0)
+            inside.append(grid_sum(pqd, x1[rows], x2[cols]))
+        holed = grid_sum(pqd, x1, x2, holes)
+        assert holed > 0.0 and min(inside) > 0.0
+        assert math.isclose(holed + math.fsum(inside), grid_sum(pqd, x1, x2), rel_tol=1e-12)
 
 
 def test_tiny_window_trips_tail_bound():

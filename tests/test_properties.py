@@ -107,12 +107,19 @@ def test_packed_terms_match_the_unfolded_sum(state, frac, x1, x2):
     assert np.all(np.abs(pqd(points) - ref) <= 1e-13 * modulus)
 
 
+CAT = squeeze_then_kerr_state(2, 1.0, SqueezeParam(0.0))
 cat_states = st.builds(
     squeeze_then_kerr_state,
     st.integers(2, 4),
     st.builds(cmath.rect, st.floats(0.8, 1.5), st.floats(0.0, 2.0 * math.pi)),
     st.builds(SqueezeParam, st.floats(0.0, 0.4), st.floats(0.0, 2.0 * math.pi)),
 )
+
+
+# index rectangles (i0, i1, j0, j1), ends exclusive, clipped to the grid by
+# the test: empty ones, ones on the grid edges and ones across row blocks
+rows, cols = st.integers(-5, 45), st.integers(-20, 320)
+hole_lists = st.lists(st.tuples(rows, rows, cols, cols), max_size=4)
 
 
 @SETTINGS
@@ -123,15 +130,27 @@ cat_states = st.builds(
     n2=st.integers(1, 300),
     block=st.sampled_from([1, 7, 64, 1000, 1 << 14]),
     workers=st.sampled_from([1, 2]),
+    drawn=hole_lists,
 )
-def test_negative_mass_does_not_depend_on_the_blocking(state, t, n1, n2, block, workers):
+@example(  # a corner, the last rows, across the 16-row blocks of 1000 points, empty
+    state=CAT, t=-0.1, n1=40, n2=60, block=1000, workers=2,
+    drawn=[(0, 3, 0, 5), (36, 40, 30, 60), (10, 30, 20, 21), (5, 5, 0, 60)],
+)
+def test_negative_mass_does_not_depend_on_the_blocking(state, t, n1, n2, block, workers, drawn):
     pqd = superposition_pqd(state, t)
     x1 = np.linspace(-1.2, 1.2, n1)  # the interference fringes of the cat states
     x2 = np.linspace(-1.0, 1.4, n2)
-    whole = math.fsum(np.maximum(-pqd.evaluate_grid(x1, x2), 0.0).sum(axis=1))
-    assume(whole > 0.0)
+    w = np.maximum(-pqd.evaluate_grid(x1, x2), 0.0)
+    assume(w.sum() > 0.0)
+    holes = []
+    for a, b, c, d in drawn:
+        i0, i1 = sorted(min(max(k, 0), n1) for k in (a, b))
+        j0, j1 = sorted(min(max(k, 0), n2) for k in (c, d))
+        holes.append((i0, i1, j0, j1))
+        w[i0:i1, j0:j1] = 0.0
+    whole = math.fsum(w.sum(axis=1))
     with mock.patch.object(negativity, "_BLOCK_POINTS", block):
-        assert negativity._negative_mass_grid(pqd, x1, x2, workers) == whole
+        assert negativity._negative_mass_grid(pqd, x1, x2, holes, workers) == whole
 
 
 CURVE_STATE = squeeze_then_kerr_state(3, 1.0, SqueezeParam(0.2))
