@@ -436,8 +436,8 @@ class PqdFunction:
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_pairs", tuple(int(k) for k in pairs))
 
-    def _kernel(self, chunks, size: int, phases: bool = True) -> np.ndarray:
-        """sum_k Re f_k, or sum_k |f_k| without phases, at `size` points.
+    def _kernel(self, chunks, size: int, envelope=None) -> np.ndarray:
+        """sum_k Re f_k at `size` points, and sum_k |f_k| into `envelope`.
 
         `chunks` yields (u, v) pairs that broadcast to at most _CHUNK points,
         in output order.  Per chunk, the monomials fill a (6, m) basis, the
@@ -445,10 +445,12 @@ class PqdFunction:
         are summed in term order.  The log-prefactor stays inside the
         exponent: near the ordering supremum it can be ~-800 against
         quadratic parts of ~+800, and the plain product would overflow
-        although the term is finite.
+        although the term is finite.  A flat `envelope` array of `size`
+        points receives the moduli exp(Re e_k), summed in term order before
+        the phases are applied, so W and its envelope cost one pass.
         """
         n_terms = self.log_pref.size
-        rows = self._rows if phases else self._rows[: max(n_terms, 2)]
+        rows = self._rows
         n_products = -(-len(rows) // _PRODUCT_ROWS)
         cuts = [len(rows) * i // n_products for i in range(n_products + 1)]
         out = np.empty(size)
@@ -475,11 +477,15 @@ class PqdFunction:
             for r0, r1 in zip(cuts, cuts[1:]):
                 np.matmul(rows[r0:r1], basis[:, : max(m, 2)], out=e[r0:r1])
             np.exp(e[:n_terms], out=e[:n_terms])
-            if phases:
-                phase = e[n_terms:]
-                np.cos(phase, out=phase)
-                for j, k in enumerate(self._pairs):
-                    e[k] *= phase[j]
+            if envelope is not None:
+                acc = envelope[lo : lo + m]
+                np.copyto(acc, e[0, :m])
+                for k in range(1, n_terms):
+                    acc += e[k, :m]
+            phase = e[n_terms:]
+            np.cos(phase, out=phase)
+            for j, k in enumerate(self._pairs):
+                e[k] *= phase[j]
             acc = out[lo : lo + m]
             np.copyto(acc, e[0, :m])
             for k in range(1, n_terms):
@@ -487,22 +493,25 @@ class PqdFunction:
             lo += m
         return out
 
-    def _at(self, beta, phases: bool = True) -> np.ndarray:
+    def __call__(self, beta, envelope=None) -> np.ndarray:
+        """W at complex points of any shape; a float for a scalar point.
+
+        `envelope`, a C-contiguous float array of beta's shape, receives
+        sum_k |f_k(beta)| (a pair's modulus with its factor 2), which bounds
+        |W|, from the same pass.
+        """
         b = np.asarray(beta, dtype=complex)
         flat = b.reshape(-1)
+        if envelope is not None:
+            if envelope.shape != b.shape or envelope.dtype != float or not envelope.flags.c_contiguous:
+                raise ValueError(f"envelope must be a C-contiguous float array of shape {b.shape}")
+            envelope = envelope.reshape(-1)
         chunks = (
             (flat.real[lo : lo + _CHUNK], flat.imag[lo : lo + _CHUNK])
             for lo in range(0, flat.size, _CHUNK)
         )
-        out = self._kernel(chunks, flat.size, phases).reshape(b.shape)
+        out = self._kernel(chunks, flat.size, envelope).reshape(b.shape)
         return out if out.shape else float(out)
-
-    def __call__(self, beta) -> np.ndarray:
-        return self._at(beta)
-
-    def envelope_at(self, beta) -> np.ndarray:
-        """sum_k |f_k(beta)|, a pair's modulus with its factor 2; bounds |W|."""
-        return self._at(beta, phases=False)
 
     def evaluate_grid(self, re_axis, im_axis) -> np.ndarray:
         """W on the tensor grid, shape (len(re_axis), len(im_axis)).

@@ -259,13 +259,28 @@ def thermal_threshold_verdict(noise: NoiseParams) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
+# Proposals per evaluation chunk of the sampler and of the estimator's tail:
+# a chunk's W, envelope, uniforms and mask take 1 MB, so no full-batch
+# temporary is built.
+_SAMPLE_CHUNK = 1 << 15
+
+
 def _rejection_sampler(pqd: PqdFunction):
     """Sample the (non-negative) PQD under its term-envelope mixture.
 
-    env(y) = sum_k |f_k(y)| >= |W(y)| pointwise (PqdFunction.envelope_at),
-    so acceptance with probability max(W, 0)/env is exact; the envelope is a
-    Gaussian mixture with weights given by the term masses.  A one-term
-    (Gaussian) PQD equals its envelope, so every draw is accepted.
+    env(y) = sum_k |f_k(y)| >= |W(y)| pointwise, so acceptance with
+    probability max(W, 0)/env is exact; the envelope is a Gaussian mixture
+    with weights given by the term masses.  A one-term (Gaussian) PQD equals
+    its envelope, so every draw is accepted.
+
+    Each batch draws its component counts, then all its normals in one
+    call, which each component's rows turn into its Gaussian in place.  The
+    proposals then go through the PQD chunk by chunk: one kernel pass
+    (pqd(beta, envelope=...)) gives W and the envelope, the chunk's
+    uniforms are drawn, and its accepted rows move to the front of the
+    batch.  Random numbers are drawn in the order multinomial, normals,
+    uniforms per batch, then the permutation that cuts the accepted rows to
+    `size`; this is the stream of one full-batch pass.
     """
     peaks, centers, precs = pqd.envelopes()
     covs = np.linalg.inv(precs)
@@ -273,26 +288,46 @@ def _rejection_sampler(pqd: PqdFunction):
     masses = peaks * 2.0 * math.pi / np.sqrt(np.linalg.det(precs))
     weights = masses / math.fsum(masses)
 
+    def propose(rng: np.random.Generator, batch: int) -> np.ndarray:
+        counts = rng.multinomial(batch, weights)
+        ys = rng.standard_normal((batch, 2))
+        off = 0
+        for idx, cnt in enumerate(counts):
+            z = ys[off : off + cnt]
+            z[...] = z @ chols[idx].T
+            z += centers[idx]
+            off += cnt
+        return ys
+
+    def accepted(rng: np.random.Generator, ys: np.ndarray) -> np.ndarray:
+        env = np.empty(_SAMPLE_CHUNK)
+        kept = 0
+        for lo in range(0, len(ys), _SAMPLE_CHUNK):
+            rows = ys[lo : lo + _SAMPLE_CHUNK]
+            m = len(rows)
+            w_vals = pqd(rows.view(complex)[:, 0], envelope=env[:m])
+            np.maximum(w_vals, 0.0, out=w_vals)
+            u = rng.random(m)
+            u *= env[:m]
+            # compress and take move whole rows; a 2-column fancy index
+            # copies them element by element and runs several times slower
+            hits = np.compress(u <= w_vals, rows, axis=0)
+            ys[kept : kept + len(hits)] = hits
+            kept += len(hits)
+        # a copy, so that the batch's buffer is freed before the next batch
+        return ys[:kept].copy()
+
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         got = []
         have = 0
         while have < size:
-            batch = max(size, 4096)
-            counts = rng.multinomial(batch, weights)
-            ys = np.empty((batch, 2))
-            off = 0
-            for idx, cnt in enumerate(counts):
-                z = rng.standard_normal((cnt, 2))
-                ys[off : off + cnt] = centers[idx] + z @ chols[idx].T
-                off += cnt
-            beta = ys[:, 0] + 1j * ys[:, 1]
-            w_vals = np.maximum(np.asarray(pqd(beta)), 0.0)
-            keep = rng.random(batch) * pqd.envelope_at(beta) <= w_vals
-            got.append(ys[keep])
-            have += int(keep.sum())
+            got.append(accepted(rng, propose(rng, max(size, 4096))))
+            have += len(got[-1])
         # each batch is laid out component by component, so cut a random
         # subset, not the tail, or the last components lose their points
-        return rng.permutation(np.concatenate(got))[:size]
+        cat = np.concatenate(got) if len(got) > 1 else got[0]
+        del got  # the pieces go before the permutation and the gather
+        return np.take(cat, rng.permutation(len(cat))[:size], axis=0)
 
     return draw
 
@@ -357,10 +392,21 @@ def estimate_click_probability(
 
     rng = np.random.default_rng(seed)
     ys = draw(rng, n_samples)
-    betas = math.sqrt(noise.eta_L) * ys + math.sqrt(0.25 * c) * rng.standard_normal(
-        (n_samples, 2)
-    )
-    vals = amp * np.exp(-decay * np.einsum("ni,ni->n", betas, betas))
+    # beta = sqrt(eta_L) y + sqrt(c/4) z, then pi times the no-click PQD,
+    # chunk by chunk; the kernel noise is one stream in row order
+    gain = math.sqrt(noise.eta_L)
+    spread = math.sqrt(0.25 * c)
+    vals = np.empty(n_samples)
+    for lo in range(0, n_samples, _SAMPLE_CHUNK):
+        betas = ys[lo : lo + _SAMPLE_CHUNK]
+        betas *= gain
+        kick = rng.standard_normal(betas.shape)
+        kick *= spread
+        betas += kick
+        chunk = np.einsum("ni,ni->n", betas, betas, out=vals[lo : lo + len(betas)])
+        chunk *= -decay
+        np.exp(chunk, out=chunk)
+        chunk *= amp
     p_hat = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
     return p_hat, stderr

@@ -1,4 +1,6 @@
+import cmath
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +13,7 @@ from kerrpqd.fock_oracle import (
     oracle_loss,
     oracle_off_probability,
 )
-from kerrpqd.phase_space import GaussianState, PqdFunction
+from kerrpqd.phase_space import GaussianState, PqdFunction, _sqrt_det, gaussian_pqd, superposition_pqd
 from kerrpqd.simulability import (
     NoiseParams,
     TransferMatrix,
@@ -412,6 +414,128 @@ def test_mc_sampler_envelope_is_the_per_term_gaussian_sum():
     Gaussians accept, so the estimate does not move."""
     state = squeeze_then_kerr_state(2, 1.2, SqueezeParam(0.0))
     kernel = estimate_click_probability(state, MC_NOISE, t=-1.0, n_samples=100_000, seed=7)
-    with mock.patch.object(PqdFunction, "envelope_at", per_term_envelope):
+    original = PqdFunction.__call__
+    replaced = []
+
+    def gaussian_envelope(pqd, beta, envelope=None):
+        values = original(pqd, beta)
+        if envelope is not None:
+            envelope[...] = per_term_envelope(pqd, beta)
+            replaced.append(envelope.size)
+        return values
+
+    with mock.patch.object(PqdFunction, "__call__", gaussian_envelope):
         gaussians = estimate_click_probability(state, MC_NOISE, t=-1.0, n_samples=100_000, seed=7)
+    assert sum(replaced) >= 100_000  # every proposal got the per-term envelope
     assert kernel == gaussians
+
+
+def two_pass_draw(pqd, rng, size):
+    """The full-batch sampler that the streamed one replaced: per-component
+    normals, W and then the envelope over the whole batch, one uniform draw
+    per batch, and a permutation of the accepted rows."""
+    peaks, centers, precs = pqd.envelopes()
+    covs = np.linalg.inv(precs)
+    chols = np.linalg.cholesky(0.5 * (covs + np.swapaxes(covs, 1, 2)))
+    masses = peaks * 2.0 * math.pi / np.sqrt(np.linalg.det(precs))
+    weights = masses / math.fsum(masses)
+    got = []
+    have = 0
+    while have < size:
+        batch = max(size, 4096)
+        counts = rng.multinomial(batch, weights)
+        ys = np.empty((batch, 2))
+        off = 0
+        for idx, cnt in enumerate(counts):
+            z = rng.standard_normal((cnt, 2))
+            ys[off : off + cnt] = centers[idx] + z @ chols[idx].T
+            off += cnt
+        beta = ys[:, 0] + 1j * ys[:, 1]
+        w_vals = np.maximum(np.asarray(pqd(beta)), 0.0)
+        env = np.empty(batch)
+        pqd(beta, envelope=env)
+        keep = rng.random(batch) * env <= w_vals
+        got.append(ys[keep])
+        have += int(keep.sum())
+    return rng.permutation(np.concatenate(got))[:size]
+
+
+class CountingPqd:
+    """A PQD that counts the points the sampler proposes."""
+
+    def __init__(self, pqd):
+        self.pqd = pqd
+        self.points = 0
+
+    def envelopes(self):
+        return self.pqd.envelopes()
+
+    def __call__(self, beta, envelope=None):
+        self.points += np.size(beta)
+        return self.pqd(beta, envelope=envelope)
+
+
+CURVE_STATE = squeeze_then_kerr_state(3, 1.0, SqueezeParam(0.2))
+STREAM_PQDS = {
+    "two-branch cat": superposition_pqd(squeeze_then_kerr_state(2, 1.2, SqueezeParam(0.0)), -1.0),
+    "curve state": superposition_pqd(CURVE_STATE, -1.0),
+    "paired, t=-0.5": superposition_pqd(squeeze_then_kerr_state(4, 1.1, SqueezeParam(0.1)), -0.5),
+    "one term": gaussian_pqd(GaussianState.squeezed_coherent(0.4 - 0.3j, SqueezeParam(0.3, 1.0)), -0.5),
+}
+
+
+@pytest.mark.parametrize("name", STREAM_PQDS)
+@pytest.mark.parametrize("size", [1, 3000, 4095, 4096, 50_000])
+def test_streamed_sampler_repeats_the_two_pass_stream(name, size):
+    pqd = STREAM_PQDS[name]
+    for seed in (0, 1, 2):
+        ref = two_pass_draw(pqd, np.random.default_rng(seed), size)
+        counting = CountingPqd(pqd)
+        got = simulability._rejection_sampler(counting)(np.random.default_rng(seed), size)
+        assert got.shape == (size, 2)
+        assert np.array_equal(got, ref)
+    if name == "paired, t=-0.5" and size == 4096:
+        assert counting.points >= 3 * 4096  # three or more batches
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sampler_mean_matches_the_closed_form(seed):
+    """At t = -1 the PQD is non-negative, so the samples' mean is
+    sum_k Re[mass_k A_k^-1 b_k] over the terms f_k = e^{c_k - y^T A_k y/2 + b_k^T y}."""
+    gen = np.random.default_rng(seed)
+    state = squeeze_then_kerr_state(
+        2 + seed % 2,
+        cmath.rect(gen.uniform(0.8, 1.5), gen.uniform(0.0, 2.0 * math.pi)),
+        SqueezeParam(gen.uniform(0.0, 0.4), gen.uniform(0.0, 2.0 * math.pi)),
+    )
+    pqd = superposition_pqd(state, -1.0)
+    total = 0.0
+    mean = np.zeros(2)
+    for lp, a, b in zip(pqd.log_pref, pqd.quad, pqd.lin):
+        a_inv_b = np.linalg.solve(a, b)
+        mass = cmath.exp(lp + math.log(2.0 * math.pi) - cmath.log(_sqrt_det(a)) + 0.5 * complex(b @ a_inv_b))
+        total += mass.real
+        mean += (mass * a_inv_b).real
+    n = 200_000
+    ys = simulability._rejection_sampler(pqd)(np.random.default_rng(100 + seed), n)
+    stderr = ys.std(axis=0, ddof=1) / math.sqrt(n)
+    assert np.all(np.abs(ys.mean(axis=0) - mean / total) < 4.0 * stderr)
+
+
+def test_mc_million_sample_estimate_memory():
+    """The sampler streams its proposals, so a 10^6-sample estimate keeps
+    the accepted points and a few chunks, not full-batch copies of W, the
+    envelope and the uniforms (about 100 MB)."""
+    noise = NoiseParams(eta_L=0.8, eta_D=0.6, p_D=1.05 * 0.48)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        estimate_click_probability(CURVE_STATE, noise, t=-1.0, n_samples=1_000_000, seed=13)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 60e6
