@@ -36,7 +36,7 @@ def main():
         noise,
         (1 - noise.p_D) * math.exp(-noise.eta_D * noise.eta_L * abs(alpha) ** 2),
     ))
-    rows.append(("vacuum", GaussianState.vacuum(1), noise, 1 - noise.p_D))
+    rows.append(("vacuum", GaussianState.vacuum(), noise, 1 - noise.p_D))
 
     # interference state: reference from the truncated-Fock channel
     kerr = squeeze_then_kerr_state(3, 1.0, SqueezeParam(0.2))

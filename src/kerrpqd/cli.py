@@ -77,28 +77,6 @@ _OPTION_TYPES = {
     "out": str,
 }
 
-_COMMAND_OPTIONS = {
-    "pqd": ("state", "t", "grid_r", "grid_n", "out"),
-    "negativity": ("state", "t_min", "t_max", "t_points", "grid_r", "grid_n", "out"),
-    "threshold": ("state", "eps_neg", "tol_t", "grid_r", "grid_n", "out"),
-    "simulability": ("eta_l", "eta_d", "p_d", "nbar", "tbar", "out"),
-    "sweep": ("grid_n", "nbar", "tbar", "out"),
-    "verify": ("out",),
-    "estimate": (
-        "state",
-        "t",
-        "s",
-        "eta_l",
-        "eta_d",
-        "p_d",
-        "nbar",
-        "samples",
-        "seed",
-        "out",
-    ),
-}
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.16e}"
 
@@ -155,7 +133,7 @@ def _apply_config(args) -> None:
     """Fill in options the flags left unset; flags always win."""
     if args.config is None:
         return
-    allowed = _COMMAND_OPTIONS[args.command]
+    allowed = _COMMANDS[args.command][2]
     for key, text in _load_config(args.config).items():
         if key not in allowed:
             raise ValueError(f"unknown config key {key!r} for command {args.command!r}")
@@ -182,12 +160,16 @@ def _quadrature_spec(args, state) -> QuadratureSpec:
 
 
 def _noise(args) -> NoiseParams:
-    return NoiseParams(
-        eta_L=args.eta_l if args.eta_l is not None else 1.0,
-        eta_D=args.eta_d if args.eta_d is not None else 1.0,
-        p_D=args.p_d if args.p_d is not None else 0.0,
-        nbar=args.nbar if args.nbar is not None else 0.0,
-    )
+    """The given noise flags; NoiseParams' defaults fill in the rest."""
+    given = {"eta_L": args.eta_l, "eta_D": args.eta_d, "p_D": args.p_d, "nbar": args.nbar}
+    return NoiseParams(**{k: v for k, v in given.items() if v is not None})
+
+
+def _report(args, text: str) -> None:
+    """A one-line-per-result report: to stdout, and to --out when it is set."""
+    sys.stdout.write(text)
+    if args.out is not None:
+        _write_text(args.out, text)
 
 
 def _noise_echo(noise: NoiseParams) -> str:
@@ -252,10 +234,7 @@ def _cmd_threshold(args) -> None:
     eps_neg = args.eps_neg if args.eps_neg is not None else CLI_EPS_NEG
     tol_t = args.tol_t if args.tol_t is not None else TOL_T_DEFAULT
     tbar = find_threshold(state, eps_neg, tol_t, spec)
-    report = f"t_bar={_fmt(tbar)} eps_neg={_fmt(eps_neg)} tol_t={_fmt(tol_t)}\n"
-    sys.stdout.write(report)
-    if args.out is not None:
-        _write_text(args.out, report)
+    _report(args, f"t_bar={_fmt(tbar)} eps_neg={_fmt(eps_neg)} tol_t={_fmt(tol_t)}\n")
 
 
 def _cmd_simulability(args) -> None:
@@ -277,10 +256,7 @@ def _cmd_simulability(args) -> None:
             f"simulable={_bool(verdict.simulable)} "
             f"always_simulable={_bool(verdict.always_simulable)} params={echo}"
         )
-    report = "\n".join(lines) + "\n"
-    sys.stdout.write(report)
-    if args.out is not None:
-        _write_text(args.out, report)
+    _report(args, "\n".join(lines) + "\n")
 
 
 def _cmd_sweep(args) -> None:
@@ -344,10 +320,7 @@ def _cmd_verify(args) -> None:
     if not ok:
         failed.append("su11_composition")
 
-    report = "\n".join(lines) + "\n"
-    sys.stdout.write(report)
-    if args.out is not None:
-        _write_text(args.out, report)
+    _report(args, "\n".join(lines) + "\n")
     if failed:
         raise PqdError(f"verification failed: {', '.join(sorted(set(failed)))}")
 
@@ -362,23 +335,46 @@ def _cmd_estimate(args) -> None:
         state, noise, t, args.s, n_samples=samples, seed=seed
     )
     s_echo = "" if args.s is None else f" s={_fmt(args.s)}"
-    report = (
+    _report(
+        args,
         f"p_hat={_fmt(p_hat)} stderr={_fmt(stderr)} samples={samples} seed={seed} "
-        f"t={_fmt(t)}{s_echo} {_noise_echo(noise)}\n"
+        f"t={_fmt(t)}{s_echo} {_noise_echo(noise)}\n",
     )
-    sys.stdout.write(report)
-    if args.out is not None:
-        _write_text(args.out, report)
 
 
-_HANDLERS = {
-    "pqd": _cmd_pqd,
-    "negativity": _cmd_negativity,
-    "threshold": _cmd_threshold,
-    "simulability": _cmd_simulability,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
-    "estimate": _cmd_estimate,
+# command -> (handler, help, options), in the order the parser lists them
+_COMMANDS = {
+    "pqd": (
+        _cmd_pqd,
+        "export a PQD grid as CSV (plus a .meta sidecar)",
+        ("state", "t", "grid_r", "grid_n", "out"),
+    ),
+    "negativity": (
+        _cmd_negativity,
+        "export a (t, negativity, err) curve as CSV",
+        ("state", "t_min", "t_max", "t_points", "grid_r", "grid_n", "out"),
+    ),
+    "threshold": (
+        _cmd_threshold,
+        "report the ordering threshold t_bar",
+        ("state", "eps_neg", "tol_t", "grid_r", "grid_n", "out"),
+    ),
+    "simulability": (
+        _cmd_simulability,
+        "report inequality verdicts for one noise point",
+        ("eta_l", "eta_d", "p_d", "nbar", "tbar", "out"),
+    ),
+    "sweep": (
+        _cmd_sweep,
+        "grid the noise space and emit all verdict margins as CSV",
+        ("grid_n", "nbar", "tbar", "out"),
+    ),
+    "verify": (_cmd_verify, "run the oracle identity suite", ("out",)),
+    "estimate": (
+        _cmd_estimate,
+        "Monte-Carlo estimate of the no-click probability",
+        ("state", "t", "s", "eta_l", "eta_d", "p_d", "nbar", "samples", "seed", "out"),
+    ),
 }
 
 
@@ -399,17 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "volumes, ordering thresholds, and simulability verdicts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "pqd": "export a PQD grid as CSV (plus a .meta sidecar)",
-        "negativity": "export a (t, negativity, err) curve as CSV",
-        "threshold": "report the ordering threshold t_bar",
-        "simulability": "report inequality verdicts for one noise point",
-        "sweep": "grid the noise space and emit all verdict margins as CSV",
-        "verify": "run the oracle identity suite",
-        "estimate": "Monte-Carlo estimate of the no-click probability",
-    }
-    for command, dests in _COMMAND_OPTIONS.items():
-        cmd_parser = sub.add_parser(command, help=helps[command])
+    for command, (_, help_text, dests) in _COMMANDS.items():
+        cmd_parser = sub.add_parser(command, help=help_text)
         for dest in dests:
             _add_option(cmd_parser, dest)
         cmd_parser.add_argument("--config", type=str, default=None)
@@ -420,7 +407,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _apply_config(args)
-        _HANDLERS[args.command](args)
+        _COMMANDS[args.command][0](args)
     except PqdError as exc:
         sys.stderr.write(f"error={exc.code} detail={exc}\n")
         return 3

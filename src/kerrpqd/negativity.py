@@ -14,10 +14,11 @@ and the plane outside the window is charged with an analytic Gaussian tail
 bound per term.
 
 Near t = -1 the pockets shrink onto the zeros of the Husimi function and
-fall below any fixed grid.  Those zeros are located once per state; square
-boxes around them are left out of the global grid and run through the same
-loop on much finer local grids, which is what makes threshold searches at
-tight negativity floors feasible.
+fall below any fixed grid.  Those zeros are located on spec.window, whoever
+calls, and the scan can be shared across orderings; square boxes around
+them are left out of the global grid and run through the same loop on much
+finer local grids, which is what makes threshold searches at tight
+negativity floors feasible.
 """
 
 from __future__ import annotations
@@ -122,13 +123,19 @@ class NegativityCurve:
 # ---------------------------------------------------------------------------
 
 
-def _tail_terms(terms: PqdFunction):
-    """(peak, center, lambda_min) per term, the inputs of _tail_outside."""
-    peak, center, prec = terms.envelopes()
-    lam = np.linalg.eigvalsh(prec)[:, 0]
+def _tail_terms(pqd: PqdFunction):
+    """(peak, center, lambda_min) of the pair terms, the inputs of _tail_outside.
+
+    Only the pair terms can push W below zero: the diagonal terms are
+    positive Gaussians, so max(-W, 0) <= sum of |f_k| over the pair terms
+    pointwise, and their envelopes bound the negative mass anywhere.
+    """
+    peak, center, prec = pqd.envelopes()
+    keep = pqd.pair
+    lam = np.linalg.eigvalsh(prec[keep])[:, 0]
     if np.any(lam <= 0.0):
         raise NotIntegrable("PQD term does not decay; tail bound undefined")
-    return peak, center, lam
+    return peak[keep], center[keep], lam
 
 
 def _tail_outside(tail_terms, window: float) -> float:
@@ -146,36 +153,34 @@ def _tail_outside(tail_terms, window: float) -> float:
     return float(np.sum(peak * (2.0 * math.pi / lam) * np.exp(-0.5 * lam * d * d)))
 
 
-def _interference_terms(pqd: PqdFunction) -> PqdFunction | None:
-    """The off-diagonal terms, the only ones that can push W below zero.
+def _pocket_window(tail_terms, spec: QuadratureSpec):
+    """(window, tail): the smallest window that still bounds the outside
+    negative mass, and the charge 2 Int_outside sum |f_k| for it.
 
-    The diagonal terms are positive Gaussians, so max(-W, 0) <= sum of |f_k|
-    over the off-diagonal terms pointwise.  None for a single branch.
+    The integrand vanishes wherever the pair terms are negligible, so the
+    grid can shrink well below the full support window; the excluded
+    region is charged to the tail at a tenth of the overall budget.  Each
+    window's tail is computed once.  Raises TailBoundExceeded if the tail
+    outside spec.window alone exceeds spec.tol (window too small for this
+    state).
     """
-    keep = pqd.pair
-    if not keep.any():
-        return None
-    return PqdFunction(pqd.log_pref[keep], pqd.quad[keep], pqd.lin[keep], keep[keep])
-
-
-def _pocket_window(tail_terms, spec: QuadratureSpec) -> float:
-    """Smallest window that still bounds the outside negative mass.
-
-    The integrand vanishes wherever the interference terms are negligible,
-    so the grid can shrink well below the full support window; the excluded
-    region is charged to the tail at a tenth of the overall budget.
-    """
+    tail = 2.0 * _tail_outside(tail_terms, spec.window)
+    if tail > spec.tol:
+        raise TailBoundExceeded(
+            f"exterior bound {tail:.3e} exceeds tolerance {spec.tol:.3e}; widen the window"
+        )
     target = 0.1 * spec.tol
-    if 2.0 * _tail_outside(tail_terms, spec.window) > target:
-        return spec.window
+    if tail > target:
+        return spec.window, tail
     lo, hi = 1.0, spec.window
     for _ in range(30):
         mid = 0.5 * (lo + hi)
-        if 2.0 * _tail_outside(tail_terms, mid) <= target:
-            hi = mid
+        mid_tail = 2.0 * _tail_outside(tail_terms, mid)
+        if mid_tail <= target:
+            hi, tail = mid, mid_tail
         else:
             lo = mid
-    return hi
+    return hi, tail
 
 
 def _oscillation_scale(pqd: PqdFunction, window: float) -> float:
@@ -312,13 +317,15 @@ def negativity_volume(
     """(N, err) with N = 2 Int max(-W^{(t)}, 0).
 
     The grid covers only the pocket window -- the smallest square outside
-    which the interference terms, and hence any negative mass, are bounded
-    below a tenth of the tolerance; states whose terms are all positive
-    Gaussians return (0, 0) immediately.
+    which the pair terms, and hence any negative mass, are bounded below a
+    tenth of the tolerance; states without pair terms (all positive
+    Gaussians) return (0, 0) immediately.
 
-    `focus` is an optional sequence of complex points (typically Husimi
-    zeros) that receive fine local patches; pass the output of
-    husimi_zero_candidates when sweeping many orderings of one state.
+    The Husimi zeros that receive fine local patches are always those that
+    husimi_zero_candidates finds on spec.window.  `focus` only shares that
+    scan: pass husimi_zero_candidates(state, window=spec.window) when
+    sweeping many orderings of one state, and the answer is the same as
+    without it.
 
     Every region goes through _refine: the global grid, with the focus
     boxes left out, at tol/2 up to base_resolution << refine_depth points
@@ -332,22 +339,12 @@ def negativity_volume(
     """
     spec = spec if spec is not None else QuadratureSpec.for_state(state)
     pqd = superposition_pqd(state, t)
-
-    interference = _interference_terms(pqd)
-    if interference is None:
+    if not pqd.pair.any():
         return 0.0, 0.0
-
-    tail_terms = _tail_terms(interference)
-    tail = 2.0 * _tail_outside(tail_terms, spec.window)
-    if tail > spec.tol:
-        raise TailBoundExceeded(
-            f"exterior bound {tail:.3e} exceeds tolerance {spec.tol:.3e}; widen the window"
-        )
-    window = _pocket_window(tail_terms, spec)
-    tail = 2.0 * _tail_outside(tail_terms, window)
+    window, tail = _pocket_window(_tail_terms(pqd), spec)
 
     if focus is None:
-        focus = husimi_zero_candidates(state, window=window)
+        focus = husimi_zero_candidates(state, window=spec.window)
     boxes = _focus_boxes(focus, window, spec.base_resolution)
 
     # start fine enough to sample every term's oscillation

@@ -34,8 +34,6 @@ __all__ = [
     "PqdFunction",
     "gaussian_pqd",
     "dyadic_char",
-    "dyadic_char_squeezed_coherent",
-    "dyadic_char_squeezed_vacua",
     "fourier_transform_form",
     "superposition_pqd",
 ]
@@ -118,7 +116,7 @@ class ComplexGaussianForm:
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """First and second moments; coherent-state covariance is the identity.
+    """Single-mode first and second moments; coherent-state covariance is the identity.
 
     Validity is the uncertainty relation sigma + i Omega >= 0 (Omega the
     symplectic form), which squeezed states saturate; a plain sigma >= 1
@@ -131,15 +129,12 @@ class GaussianState:
     def __post_init__(self):
         cov = np.asarray(self.cov, dtype=float)
         mean = np.asarray(self.mean, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
-            raise ValueError("covariance must be 2M x 2M")
-        if mean.shape != (cov.shape[0],):
-            raise ValueError("mean length must match the covariance")
+        if cov.shape != (2, 2) or mean.shape != (2,):
+            raise ValueError("expected a 2 x 2 covariance and a length-2 mean (one mode)")
         if float(np.max(np.abs(cov - cov.T))) > 1e-10 * max(1.0, float(np.max(np.abs(cov)))):
             raise ValueError("covariance must be symmetric")
         cov = 0.5 * (cov + cov.T)
-        omega = np.kron(np.eye(cov.shape[0] // 2), _R_BLOCK)
-        heis = np.linalg.eigvalsh(cov.astype(complex) + 1j * omega)
+        heis = np.linalg.eigvalsh(cov.astype(complex) + 1j * _R_BLOCK)
         if heis[0] < -1e-9:
             raise ValueError(f"covariance violates the uncertainty relation ({heis[0]:.3e})")
         cov.setflags(write=False)
@@ -147,15 +142,11 @@ class GaussianState:
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "mean", mean)
 
-    @property
-    def num_modes(self) -> int:
-        return self.cov.shape[0] // 2
-
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def vacuum(cls, num_modes: int = 1) -> "GaussianState":
-        return cls(np.eye(2 * num_modes), np.zeros(2 * num_modes))
+    def vacuum(cls) -> "GaussianState":
+        return cls(np.eye(2), np.zeros(2))
 
     @classmethod
     def coherent(cls, alpha: complex) -> "GaussianState":
@@ -182,7 +173,7 @@ class GaussianState:
         return cls((2.0 * nbar + 1.0) * np.eye(2), np.zeros(2))
 
 
-def gaussian_pqd(state: GaussianState, t_vec) -> "PqdFunction":
+def gaussian_pqd(state: GaussianState, t: float) -> "PqdFunction":
     """t-ordered PQD of a single-mode Gaussian state as one positive real term.
 
     With Sigma = sigma - t I the PQD is (2/pi) det(Sigma)^{-1/2}
@@ -192,12 +183,7 @@ def gaussian_pqd(state: GaussianState, t_vec) -> "PqdFunction":
     Raises OrderingTooHigh once Sigma loses an eigenvalue above 1e-12: there
     the PQD degenerates to a delta-like object.
     """
-    if state.num_modes != 1:
-        raise ValueError("PQD terms are single-mode")
-    t_arr = np.asarray(t_vec, dtype=float).reshape(-1)
-    if t_arr.size != 1:
-        raise ValueError("ordering vector length must equal the mode count")
-    t = float(t_arr[0])
+    t = float(t)
     sigma = state.cov - t * np.eye(2)
     vals = np.linalg.eigvalsh(sigma)
     if vals[0] <= SINGULAR_TOL:
@@ -235,7 +221,11 @@ def dyadic_char(ket: Branch, bra: Branch, t: float) -> ComplexGaussianForm:
         d_1 = (mu_k - nu_k e^{i phi_k}) e^{i Phi/2},
         d_2 = i (mu_k + nu_k e^{i phi_k}) e^{i Phi/2},
 
-    and the t-independent linear part assembled below.
+    and the t-independent linear part assembled below.  The scalar branch
+    e^{i Phi/4} / sqrt(cosh r~) of the overlap is unambiguous:
+    compose_squeezing returns the principal Phi, under which the xi = 0
+    value of two squeezed vacua reproduces their overlap (equal squeezes
+    give exactly 1, and the value is continuous in the phase difference).
     """
     alpha = ket.alpha
     gamma = bra.alpha
@@ -267,27 +257,6 @@ def dyadic_char(ket: Branch, bra: Branch, t: float) -> ComplexGaussianForm:
         [u * d1 - a_rot * d1.conjugate(), u * d2 - a_rot * d2.conjugate()], dtype=complex
     )
     return ComplexGaussianForm(branch_overlap(bra, ket), quad, lin)
-
-
-def dyadic_char_squeezed_coherent(
-    alpha: complex, gamma: complex, r: float, t: float
-) -> ComplexGaussianForm:
-    """Characteristic form of S(r)|alpha><gamma|S(r)^dag (common real squeeze)."""
-    sq = SqueezeParam(r)
-    return dyadic_char(Branch(1.0, alpha, sq), Branch(1.0, gamma, sq), t)
-
-
-def dyadic_char_squeezed_vacua(r: float, phi: float, psi: float, t: float) -> ComplexGaussianForm:
-    """Characteristic form of S(r e^{i phi})|0><0|S(r e^{i psi})^dag.
-
-    The scalar branch e^{i Phi/4} / sqrt(cosh r~) is unambiguous here:
-    compose_squeezing returns the principal Phi, under which the xi = 0
-    value reproduces the overlap of the two squeezed vacua (the phi = psi
-    point gives exactly 1, and the value is continuous in phi - psi).
-    """
-    return dyadic_char(
-        Branch(1.0, 0.0, SqueezeParam(r, phi)), Branch(1.0, 0.0, SqueezeParam(r, psi)), t
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -201,35 +201,24 @@ def kerr_coefficients(m) -> list:
     return out
 
 
-def _kerr_rotations(m: int) -> list:
+def _kerr_branches(m, branch) -> SuperpositionState:
+    """U(pi/m) applied branch by branch: branch(f, theta) for every Kerr
+    weight f and its rotation angle theta, -2 pi q/m (+pi/m for even m)."""
+    m = _order(m)
     shift = math.pi / m if m % 2 == 0 else 0.0
-    return [-TWO_PI * q / m + shift for q in range(m)]
+    return SuperpositionState(
+        tuple(branch(f, -TWO_PI * q / m + shift) for q, f in enumerate(kerr_coefficients(m)))
+    )
 
 
 def kerr_coherent_state(m, alpha: complex) -> SuperpositionState:
     """U(pi/m)|alpha> as m coherent branches on the circle |alpha|."""
-    m = _order(m)
-    coeffs = kerr_coefficients(m)
-    thetas = _kerr_rotations(m)
-    return SuperpositionState(
-        tuple(
-            Branch(f, alpha * cmath.exp(1j * th))
-            for f, th in zip(coeffs, thetas)
-        )
-    )
+    return _kerr_branches(m, lambda f, th: Branch(f, alpha * cmath.exp(1j * th)))
 
 
 def squeeze_then_kerr_state(m, alpha: complex, squeeze: SqueezeParam) -> SuperpositionState:
     """S(xi) U(pi/m)|alpha>: the Kerr-cat branches under a common squeeze."""
-    m = _order(m)
-    coeffs = kerr_coefficients(m)
-    thetas = _kerr_rotations(m)
-    return SuperpositionState(
-        tuple(
-            Branch(f, alpha * cmath.exp(1j * th), squeeze)
-            for f, th in zip(coeffs, thetas)
-        )
-    )
+    return _kerr_branches(m, lambda f, th: Branch(f, alpha * cmath.exp(1j * th), squeeze))
 
 
 def kerr_squeezed_vacuum(m, r: float) -> SuperpositionState:
@@ -240,15 +229,7 @@ def kerr_squeezed_vacuum(m, r: float) -> SuperpositionState:
     For m = 4 two of the four weights cancel pairwise and the state collapses
     to a single squeezed vacuum.
     """
-    m = _order(m)
-    coeffs = kerr_coefficients(m)
-    thetas = _kerr_rotations(m)
-    return SuperpositionState(
-        tuple(
-            Branch(f, 0.0, SqueezeParam(r, 2.0 * th))
-            for f, th in zip(coeffs, thetas)
-        )
-    )
+    return _kerr_branches(m, lambda f, th: Branch(f, 0.0, SqueezeParam(r, 2.0 * th)))
 
 
 # ---------------------------------------------------------------------------

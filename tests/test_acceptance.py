@@ -28,7 +28,6 @@ from kerrpqd.negativity import (
 )
 from kerrpqd.phase_space import (
     dyadic_char,
-    dyadic_char_squeezed_vacua,
     superposition_pqd,
 )
 from kerrpqd.simulability import (
@@ -234,7 +233,9 @@ def test_criterion_6_oracle_equivalence():
         phi, psi_angle = rng.uniform(0, 2 * math.pi, size=2)
         t = rng.uniform(-1.0, 0.0)
         xi = complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
-        form = dyadic_char_squeezed_vacua(r, phi, psi_angle, t)
+        form = dyadic_char(
+            Branch(1.0, 0.0, SqueezeParam(r, phi)), Branch(1.0, 0.0, SqueezeParam(r, psi_angle)), t
+        )
         val = form.evaluate(np.array([xi.real, xi.imag]))
         ket = build_state(_single_branch(r, phi), n_max=80)
         bra = build_state(_single_branch(r, psi_angle), n_max=80)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kerrpqd
+from kerrpqd import cli
 from kerrpqd.cli import main
 
 SQ_VAC = "kind=squeezed_vacuum r=0.4 phi=0"
@@ -268,6 +269,28 @@ def test_config_bad_value(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # error paths
 # ---------------------------------------------------------------------------
+
+
+# every command's options, written out so that an edit to the command table
+# cannot add, drop or reorder one unnoticed
+COMMAND_OPTIONS = {
+    "pqd": ("state", "t", "grid_r", "grid_n", "out"),
+    "negativity": ("state", "t_min", "t_max", "t_points", "grid_r", "grid_n", "out"),
+    "threshold": ("state", "eps_neg", "tol_t", "grid_r", "grid_n", "out"),
+    "simulability": ("eta_l", "eta_d", "p_d", "nbar", "tbar", "out"),
+    "sweep": ("grid_n", "nbar", "tbar", "out"),
+    "verify": ("out",),
+    "estimate": ("state", "t", "s", "eta_l", "eta_d", "p_d", "nbar", "samples", "seed", "out"),
+}
+
+
+def test_every_command_keeps_its_options():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    built = {
+        command: tuple(a.dest for a in parser._actions if a.dest not in ("help", "config"))
+        for command, parser in sub.choices.items()
+    }
+    assert built == COMMAND_OPTIONS
 
 
 def test_bad_state_description_exits_2(capsys):

@@ -339,6 +339,27 @@ def test_holes_line_up_with_the_focus_boxes_at_every_level():
         assert math.isclose(holed + math.fsum(inside), grid_sum(pqd, x1, x2), rel_tol=1e-12)
 
 
+def test_implicit_husimi_scan_is_the_spec_window_scan():
+    # without focus, the zeros are scanned on spec.window, as every caller
+    # that shares a scan does, so focus cannot change the answer
+    state = kerr_squeezed_vacuum(3, 1.0)
+    spec = QuadratureSpec.for_state(state)
+    focus = husimi_zero_candidates(state, window=spec.window)
+    assert negativity_volume(state, -0.9, spec) == negativity_volume(state, -0.9, spec, focus=focus)
+
+
+def test_pocket_window_computes_each_tail_once():
+    pqd = superposition_pqd(SHOWCASE_STATE, -0.5)
+    spec = QuadratureSpec.for_state(SHOWCASE_STATE)
+    tail_terms = negativity._tail_terms(pqd)
+    with mock.patch.object(negativity, "_tail_outside", wraps=negativity._tail_outside) as spy:
+        window, tail = negativity._pocket_window(tail_terms, spec)
+    windows = [c.args[1] for c in spy.call_args_list]
+    assert windows[0] == spec.window and len(windows) == len(set(windows)) == 31
+    assert window < spec.window and tail == 2.0 * negativity._tail_outside(tail_terms, window)
+    assert tail <= 0.1 * spec.tol
+
+
 def test_tiny_window_trips_tail_bound():
     spec = QuadratureSpec(window=1.0, base_resolution=64, refine_depth=0, tol=1e-9)
     with pytest.raises(TailBoundExceeded):

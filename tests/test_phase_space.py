@@ -11,8 +11,6 @@ from kerrpqd.phase_space import (
     GaussianState,
     PqdFunction,
     dyadic_char,
-    dyadic_char_squeezed_coherent,
-    dyadic_char_squeezed_vacua,
     fourier_transform_form,
     gaussian_pqd,
     superposition_pqd,
@@ -115,7 +113,7 @@ def test_gaussian_pqd_thermal_p_function():
 
 def test_gaussian_pqd_ordering_identifications():
     # t = -1 Husimi, t = 0 Wigner for the vacuum
-    vac = GaussianState.vacuum(1)
+    vac = GaussianState.vacuum()
     assert gaussian_pqd(vac, -1.0)(0.0) == pytest.approx(1.0 / math.pi)
     assert gaussian_pqd(vac, 0.0)(0.0) == pytest.approx(2.0 / math.pi)
 
@@ -139,7 +137,9 @@ def test_dyadic_char_coherent_reduction():
     # r = 0, gamma = alpha: plain coherent characteristic function
     alpha = 0.6 + 0.2j
     t = -0.3
-    form = dyadic_char_squeezed_coherent(alpha, alpha, 0.0, t)
+    form = dyadic_char(
+        Branch(1.0, alpha, SqueezeParam(0.0)), Branch(1.0, alpha, SqueezeParam(0.0)), t
+    )
     for xi in (0.2, -0.1 + 0.5j, 1.0j):
         ref = cmath.exp(
             -0.5 * (1.0 - t) * abs(xi) ** 2 + xi * alpha.conjugate() - xi.conjugate() * alpha
@@ -150,7 +150,9 @@ def test_dyadic_char_coherent_reduction():
 
 def test_dyadic_char_xi0_is_overlap():
     alpha, gamma = 1.0, 1.0j
-    form = dyadic_char_squeezed_coherent(alpha, gamma, 0.0, 0.0)
+    form = dyadic_char(
+        Branch(1.0, alpha, SqueezeParam(0.0)), Branch(1.0, gamma, SqueezeParam(0.0)), 0.0
+    )
     val = form.evaluate(np.zeros(2))
     ref = cmath.exp(-0.5 * (abs(alpha) ** 2 + abs(gamma) ** 2) + gamma.conjugate() * alpha)
     assert abs(val - ref) < 1e-12
@@ -160,7 +162,7 @@ def test_dyadic_char_squeezed_coherent_vs_oracle():
     """alpha = 1, gamma = i, r = 0.2, t = -0.5 at a fixed probe point."""
     alpha, gamma, r, t = 1.0, 1.0j, 0.2, -0.5
     xi = 0.3 + 0.1j
-    form = dyadic_char_squeezed_coherent(alpha, gamma, r, t)
+    form = dyadic_char(Branch(1.0, alpha, SqueezeParam(r)), Branch(1.0, gamma, SqueezeParam(r)), t)
     val = form.evaluate(np.array([xi.real, xi.imag]))
     sq = SqueezeParam(r)
     ket = build_state(SuperpositionState((Branch(1.0, alpha, sq),)), n_max=60)
@@ -170,7 +172,9 @@ def test_dyadic_char_squeezed_coherent_vs_oracle():
 
 
 def test_dyadic_char_squeezed_vacua_identity_point():
-    form = dyadic_char_squeezed_vacua(0.8, 1.3, 1.3, 0.0)
+    form = dyadic_char(
+        Branch(1.0, 0.0, SqueezeParam(0.8, 1.3)), Branch(1.0, 0.0, SqueezeParam(0.8, 1.3)), 0.0
+    )
     assert abs(form.evaluate(np.zeros(2)) - 1.0) < 1e-12
 
 
@@ -180,7 +184,9 @@ def test_dyadic_char_squeezed_vacua_overlap_vs_oracle():
         r = rng.uniform(0.1, 1.0)
         phi = rng.uniform(0, 2 * math.pi)
         psi = rng.uniform(0, 2 * math.pi)
-        form = dyadic_char_squeezed_vacua(r, phi, psi, 0.0)
+        form = dyadic_char(
+            Branch(1.0, 0.0, SqueezeParam(r, phi)), Branch(1.0, 0.0, SqueezeParam(r, psi)), 0.0
+        )
         val = form.evaluate(np.zeros(2))
         ket = build_state(
             SuperpositionState((Branch(1.0, 0.0, SqueezeParam(r, phi)),)), n_max=80
@@ -195,7 +201,9 @@ def test_dyadic_char_squeezed_vacua_overlap_vs_oracle():
 def test_dyadic_char_squeezed_vacua_grid_vs_oracle():
     """r = 1, phi = 0, psi = 4pi/3, t = -0.8 over ten probe points."""
     r, phi, psi, t = 1.0, 0.0, 4.0 * math.pi / 3.0, -0.8
-    form = dyadic_char_squeezed_vacua(r, phi, psi, t)
+    form = dyadic_char(
+        Branch(1.0, 0.0, SqueezeParam(r, phi)), Branch(1.0, 0.0, SqueezeParam(r, psi)), t
+    )
     ket = build_state(
         SuperpositionState((Branch(1.0, 0.0, SqueezeParam(r, phi)),)), n_max=80
     )

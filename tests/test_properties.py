@@ -12,6 +12,7 @@ from kerrpqd import negativity, phase_space
 from kerrpqd.negativity import QuadratureSpec, integrable_ordering_sup, negativity_volume
 from kerrpqd.phase_space import (
     GaussianState,
+    PqdFunction,
     dyadic_char,
     fourier_transform_form,
     gaussian_pqd,
@@ -105,6 +106,21 @@ def test_packed_terms_match_the_unfolded_sum(state, frac, x1, x2):
     assert np.all(np.abs(pqd.evaluate_grid(x1, x2) - ref) <= 1e-13 * modulus)
     points = y[..., 0] + 1j * y[..., 1]
     assert np.all(np.abs(pqd(points) - ref) <= 1e-13 * modulus)
+
+
+@SETTINGS
+@given(state=states, frac=st.floats(0.0, 1.0))
+def test_tail_terms_are_the_pair_terms_envelopes(state, frac):
+    """The tail bound's inputs equal, bit for bit, those of a second
+    PqdFunction built from the pair terms alone."""
+    pqd = superposition_pqd(state, ordering(integrable_ordering_sup(state), frac))
+    keep = pqd.pair
+    assume(keep.any())
+    pairs = PqdFunction(pqd.log_pref[keep], pqd.quad[keep], pqd.lin[keep], keep[keep])
+    peak, center, prec = pairs.envelopes()
+    ref = (peak, center, np.linalg.eigvalsh(prec)[:, 0])
+    for got, want in zip(negativity._tail_terms(pqd), ref):
+        assert np.array_equal(got, want)
 
 
 CAT = squeeze_then_kerr_state(2, 1.0, SqueezeParam(0.0))

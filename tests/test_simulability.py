@@ -315,7 +315,7 @@ MC_NOISE = NoiseParams(eta_L=0.5, eta_D=0.8, p_D=0.45)  # samplable at t = -1
 
 def test_mc_vacuum_matches_dark_count_complement():
     p, se = estimate_click_probability(
-        GaussianState.vacuum(1), MC_NOISE, t=-1.0, n_samples=100_000, seed=11
+        GaussianState.vacuum(), MC_NOISE, t=-1.0, n_samples=100_000, seed=11
     )
     assert abs(p - 0.55) < 3.0 * se
     assert se < 2e-3
@@ -351,7 +351,7 @@ def test_mc_rejects_detector_ordering_below_threshold():
     sbar = detector_order_threshold(MC_NOISE)
     with pytest.raises(PreconditionViolated):
         estimate_click_probability(
-            GaussianState.vacuum(1), MC_NOISE, t=-1.0, s=sbar - 0.1, n_samples=1000
+            GaussianState.vacuum(), MC_NOISE, t=-1.0, s=sbar - 0.1, n_samples=1000
         )
 
 
@@ -359,7 +359,7 @@ def test_mc_rejects_unsamplable_kernel():
     # 2 p_D / eta_D - eta_L (1 - t) < 0 at these settings
     noise = NoiseParams(eta_L=0.9, eta_D=0.7, p_D=0.05)
     with pytest.raises(PreconditionViolated):
-        estimate_click_probability(GaussianState.vacuum(1), noise, t=-1.0, n_samples=1000)
+        estimate_click_probability(GaussianState.vacuum(), noise, t=-1.0, n_samples=1000)
 
 
 def test_mc_rejects_negative_pqd_state():
@@ -382,9 +382,11 @@ def test_mc_checks_negativity_only_above_the_husimi_ordering():
 
 def test_mc_validation():
     with pytest.raises(ValueError):
-        estimate_click_probability(GaussianState.vacuum(1), MC_NOISE, t=-1.0, n_samples=1)
+        estimate_click_probability(GaussianState.vacuum(), MC_NOISE, t=-1.0, n_samples=1)
     with pytest.raises(ValueError):
-        estimate_click_probability(GaussianState.vacuum(2), MC_NOISE, t=-1.0, n_samples=100)
+        estimate_click_probability(
+            GaussianState(np.eye(4), np.zeros(4)), MC_NOISE, t=-1.0, n_samples=100
+        )
 
 
 def test_mc_interference_state_unbiased_at_a_million_samples():
