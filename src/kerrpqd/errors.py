@@ -4,6 +4,16 @@ Each class carries a stable ``code`` string; the command-line front end
 relays it verbatim as ``error=<code>`` so scripts can branch on it.
 """
 
+__all__ = [
+    "PqdError",
+    "OrderingTooHigh",
+    "OrderingTooLow",
+    "NotIntegrable",
+    "TailBoundExceeded",
+    "CutoffTooSmall",
+    "PreconditionViolated",
+]
+
 
 class PqdError(Exception):
     """Base class for numerical-domain failures."""

@@ -196,27 +196,25 @@ def _oscillation_scale(pqd: PqdFunction, window: float) -> float:
 
 
 def _merge_boxes(boxes: list) -> list:
-    """Union overlapping index rectangles into their bounding rectangles."""
-    out = list(boxes)
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(out)):
-            for j in range(i + 1, len(out)):
-                a, b = out[i], out[j]
-                if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]:
-                    out[i] = (
-                        min(a[0], b[0]),
-                        max(a[1], b[1]),
-                        min(a[2], b[2]),
-                        max(a[3], b[3]),
-                    )
-                    del out[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    return out
+    """Union overlapping index rectangles into their bounding rectangles.
+
+    One sweep: each box absorbs every kept group it touches, again until it
+    touches none, and takes the place of the earliest group it absorbed.
+    Kept groups never overlap and merging is confluent, so this gives the
+    groups, ordered by their earliest box, of merging overlapping pairs
+    until none is left.
+    """
+    groups = []  # (index of the earliest box, bounding rectangle)
+    for first, box in enumerate(boxes):
+        while hit := [
+            (f, b) for f, b in groups if box[0] <= b[1] and b[0] <= box[1] and box[2] <= b[3] and b[2] <= box[3]
+        ]:
+            groups = [g for g in groups if g not in hit]
+            first = min(first, *(f for f, _ in hit))
+            i0, i1, j0, j1 = zip(box, *(b for _, b in hit))
+            box = (min(i0), max(i1), min(j0), max(j1))
+        groups.append((first, box))
+    return [box for _, box in sorted(groups)]
 
 
 def _focus_boxes(focus, window: float, n0: int) -> list:
@@ -337,8 +335,12 @@ def negativity_volume(
     TailBoundExceeded if the analytic exterior bound alone exceeds the
     requested tolerance (window too small for this state).
     """
+    return _pqd_volume(superposition_pqd(state, t), state, spec, focus=focus, workers=workers)
+
+
+def _pqd_volume(pqd: PqdFunction, state, spec=None, *, focus=None, workers: int = 1):
+    """negativity_volume's (N, err) for pqd, the state's PQD at the ordering."""
     spec = spec if spec is not None else QuadratureSpec.for_state(state)
-    pqd = superposition_pqd(state, t)
     if not pqd.pair.any():
         return 0.0, 0.0
     window, tail = _pocket_window(_tail_terms(pqd), spec)
@@ -526,8 +528,8 @@ def husimi_zero_candidates(state: SuperpositionState, window: float | None = Non
     These are the only points where negativity can survive as t -> -1, so
     they serve as focus points for the patch quadrature.  Works on a scan
     grid of the t = -1 PQD: local minima below _SCAN_REL_CUT times the grid
-    maximum are polished by shrinking 5x5 stencils, deduplicated, and
-    capped at the _SCAN_CAP lowest values.  Single-branch states have none.
+    maximum are polished together by shrinking 5x5 stencils, deduplicated,
+    and capped at the _SCAN_CAP lowest values.  Single-branch states have none.
     """
     if len(state.branches) == 1:
         return ()
@@ -552,28 +554,25 @@ def husimi_zero_candidates(state: SuperpositionState, window: float | None = Non
     is_min &= interior < _SCAN_REL_CUT * qmax
     ii, jj = np.nonzero(is_min)
 
-    step = axis[1] - axis[0]
-    found = []
-    for i, j in zip(ii, jj):
-        z = complex(axis[i + 1], axis[j + 1])
-        h = step
-        val = float(interior[i, j])
-        # shrink a 5x5 stencil around the running minimum
-        while h > 1e-7:
-            offs = np.linspace(-h, h, 5)
-            pts = (z.real + offs)[:, None] + 1j * (z.imag + offs)[None, :]
-            vals = np.asarray(pqd(pts.ravel())).reshape(5, 5)
-            k = int(np.argmin(vals))
-            z = complex(pts.ravel()[k])
-            val = float(vals.ravel()[k])
-            h *= 0.5
-        found.append((val, z))
+    # shrink a 5x5 stencil around each running minimum, all candidates in
+    # one call per halving (a point's value does not depend on its chunk)
+    z = axis[ii + 1] + 1j * axis[jj + 1]
+    val = interior[ii, jj]
+    rows = np.arange(z.size)
+    h = axis[1] - axis[0]
+    while rows.size and h > 1e-7:
+        offs = np.linspace(-h, h, 5)
+        pts = (z.real[:, None] + offs)[:, :, None] + 1j * (z.imag[:, None] + offs)[:, None, :]
+        pts = pts.reshape(-1, 25)
+        vals = pqd(pts)
+        k = np.argmin(vals, axis=1)
+        z, val = pts[rows, k], vals[rows, k]
+        h *= 0.5
 
-    found.sort(key=lambda p: p[0])
     kept = []
-    for val, z in found:
-        if all(abs(z - w) > 0.05 for w in kept):
-            kept.append(z)
+    for _, c in sorted(zip(val.tolist(), z.tolist()), key=lambda p: p[0]):
+        if all(abs(c - w) > 0.05 for w in kept):
+            kept.append(c)
         if len(kept) >= _SCAN_CAP:
             break
     return tuple(kept)

@@ -323,3 +323,16 @@ def test_import_leaves_the_fock_oracle_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports_are_the_modules_lists():
+    """The top level re-exports each layer's __all__ and the lazy oracle names."""
+    from kerrpqd import errors, negativity, phase_space, simulability, states
+
+    modules = (errors, states, phase_space, negativity, simulability)
+    declared = {name for module in modules for name in module.__all__}
+    assert set(kerrpqd.__all__) == declared | set(kerrpqd._FOCK_ORACLE_NAMES)
+    assert len(kerrpqd.__all__) == len(set(kerrpqd.__all__))
+    assert "superposition_pqd" in kerrpqd.__all__
+    for name in kerrpqd.__all__:
+        assert getattr(kerrpqd, name) is not None

@@ -17,7 +17,7 @@ from kerrpqd.negativity import (
     negativity_curve,
     negativity_volume,
 )
-from kerrpqd.phase_space import superposition_pqd
+from kerrpqd.phase_space import PqdFunction, superposition_pqd
 from kerrpqd.states import (
     Branch,
     SqueezeParam,
@@ -379,6 +379,72 @@ def test_husimi_zero_candidates_sit_on_zeros():
     peak = float(q(0.0 + 0.0j).real) + 1.0 / math.pi
     for z in zeros:
         assert q(z).real < 1e-3 * peak
+
+
+def polished_one_by_one(state):
+    """Reference Husimi-zero scan: each local minimum polished in its own loop."""
+    window = QuadratureSpec.for_state(state).window
+    pqd = superposition_pqd(state, -1.0)
+    axis = np.linspace(-window, window, negativity._SCAN_RESOLUTION)
+    q = pqd.evaluate_grid(axis, axis)
+    interior = q[1:-1, 1:-1]
+    is_min = interior < negativity._SCAN_REL_CUT * float(q.max())
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                is_min &= interior <= q[1 + di : q.shape[0] - 1 + di, 1 + dj : q.shape[1] - 1 + dj]
+    found = []
+    for i, j in zip(*np.nonzero(is_min)):
+        z = complex(axis[i + 1], axis[j + 1])
+        h = axis[1] - axis[0]
+        while h > 1e-7:
+            offs = np.linspace(-h, h, 5)
+            pts = ((z.real + offs)[:, None] + 1j * (z.imag + offs)[None, :]).ravel()
+            vals = np.asarray(pqd(pts))
+            k = int(np.argmin(vals))
+            z, val = complex(pts[k]), float(vals[k])
+            h *= 0.5
+        found.append((val, z))
+    kept = []
+    for val, z in sorted(found, key=lambda p: p[0]):
+        if all(abs(z - w) > 0.05 for w in kept):
+            kept.append(z)
+    return tuple(kept[: negativity._SCAN_CAP]), len(found)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        SHOWCASE_STATE,  # the benchmark's curve state
+        squeeze_then_kerr_state(2, 1.0, SqueezeParam(0.2)),  # its m=2 threshold state
+        kerr_squeezed_vacuum(5, 1.0),
+        kerr_squeezed_vacuum(3, 1.0),
+        kerr_coherent_state(2, 1.5),
+        kerr_squeezed_vacuum(3, 0.5),
+    ],
+)
+def test_husimi_candidates_are_polished_together(state):
+    """All candidates share one kernel call per stencil halving, and the
+    zeros are the ones polished candidate by candidate."""
+    ref, n_candidates = polished_one_by_one(state)
+    window = QuadratureSpec.for_state(state).window
+    halvings = 0
+    axis = np.linspace(-window, window, negativity._SCAN_RESOLUTION)
+    h = axis[1] - axis[0]
+    while h > 1e-7:
+        halvings += 1
+        h *= 0.5
+    calls = []
+    call = PqdFunction.__call__
+
+    def counted(self, beta, envelope=None):
+        calls.append(np.size(beta))
+        return call(self, beta, envelope)
+
+    with mock.patch.object(PqdFunction, "__call__", counted):
+        zeros = husimi_zero_candidates(state)
+    assert zeros == ref
+    assert n_candidates > 0 and calls == [25 * n_candidates] * halvings
 
 
 def test_husimi_zero_candidates_empty_for_gaussian():
