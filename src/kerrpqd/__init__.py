@@ -13,12 +13,14 @@ The package is layered bottom-up:
 The public names are each module's `__all__`, declared there once.
 """
 
-from . import errors, negativity, phase_space, simulability, states
-from .errors import *  # noqa: F403
-from .negativity import *  # noqa: F403
-from .phase_space import *  # noqa: F403
-from .simulability import *  # noqa: F403
-from .states import *  # noqa: F403
+from importlib import import_module
+
+_MODULES = tuple(
+    import_module(f"{__name__}.{layer}")
+    for layer in ("errors", "states", "phase_space", "negativity", "simulability")
+)
+for _module in _MODULES:
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
 
 __version__ = "0.1.0"
 
@@ -44,7 +46,4 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = sorted(
-    {name for module in (errors, states, phase_space, negativity, simulability) for name in module.__all__}
-    | set(_FOCK_ORACLE_NAMES)
-)
+__all__ = sorted({name for module in _MODULES for name in module.__all__} | set(_FOCK_ORACLE_NAMES))

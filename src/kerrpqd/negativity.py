@@ -196,25 +196,27 @@ def _oscillation_scale(pqd: PqdFunction, window: float) -> float:
 
 
 def _merge_boxes(boxes: list) -> list:
-    """Union overlapping index rectangles into their bounding rectangles.
-
-    One sweep: each box absorbs every kept group it touches, again until it
-    touches none, and takes the place of the earliest group it absorbed.
-    Kept groups never overlap and merging is confluent, so this gives the
-    groups, ordered by their earliest box, of merging overlapping pairs
-    until none is left.
-    """
-    groups = []  # (index of the earliest box, bounding rectangle)
-    for first, box in enumerate(boxes):
-        while hit := [
-            (f, b) for f, b in groups if box[0] <= b[1] and b[0] <= box[1] and box[2] <= b[3] and b[2] <= box[3]
-        ]:
-            groups = [g for g in groups if g not in hit]
-            first = min(first, *(f for f, _ in hit))
-            i0, i1, j0, j1 = zip(box, *(b for _, b in hit))
-            box = (min(i0), max(i1), min(j0), max(j1))
-        groups.append((first, box))
-    return [box for _, box in sorted(groups)]
+    """Union overlapping index rectangles into their bounding rectangles."""
+    out = list(boxes)
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(out)):
+            for j in range(i + 1, len(out)):
+                a, b = out[i], out[j]
+                if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]:
+                    out[i] = (
+                        min(a[0], b[0]),
+                        max(a[1], b[1]),
+                        min(a[2], b[2]),
+                        max(a[3], b[3]),
+                    )
+                    del out[j]
+                    merged = True
+                    break
+            if merged:
+                break
+    return out
 
 
 def _focus_boxes(focus, window: float, n0: int) -> list:
@@ -335,12 +337,8 @@ def negativity_volume(
     TailBoundExceeded if the analytic exterior bound alone exceeds the
     requested tolerance (window too small for this state).
     """
-    return _pqd_volume(superposition_pqd(state, t), state, spec, focus=focus, workers=workers)
-
-
-def _pqd_volume(pqd: PqdFunction, state, spec=None, *, focus=None, workers: int = 1):
-    """negativity_volume's (N, err) for pqd, the state's PQD at the ordering."""
     spec = spec if spec is not None else QuadratureSpec.for_state(state)
+    pqd = superposition_pqd(state, t)
     if not pqd.pair.any():
         return 0.0, 0.0
     window, tail = _pocket_window(_tail_terms(pqd), spec)

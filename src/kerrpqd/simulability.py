@@ -24,9 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderingTooLow, PreconditionViolated
-# negativity_volume stays bound here although the estimator calls
-# _pqd_volume: perfbench's tracer test checks that this binding is wrapped
-from .negativity import EPS_NEG_DEFAULT, _pqd_volume, negativity_volume  # noqa: F401
+from .negativity import EPS_NEG_DEFAULT, negativity_volume
 from .phase_space import GaussianState, PqdFunction, gaussian_pqd, superposition_pqd
 
 __all__ = [
@@ -381,7 +379,7 @@ def estimate_click_probability(
     else:
         pqd = superposition_pqd(state, t)
     if t > -1.0 and pqd.pair.any():
-        value, err = _pqd_volume(pqd, state)
+        value, err = negativity_volume(state, t)
         if value > eps_neg:
             raise PreconditionViolated(
                 f"input PQD negativity {value:.3e} exceeds eps_neg={eps_neg!r} at t={t!r}"

@@ -327,10 +327,7 @@ def test_import_leaves_the_fock_oracle_unloaded():
 
 def test_package_exports_are_the_modules_lists():
     """The top level re-exports each layer's __all__ and the lazy oracle names."""
-    from kerrpqd import errors, negativity, phase_space, simulability, states
-
-    modules = (errors, states, phase_space, negativity, simulability)
-    declared = {name for module in modules for name in module.__all__}
+    declared = {name for module in kerrpqd._MODULES for name in module.__all__}
     assert set(kerrpqd.__all__) == declared | set(kerrpqd._FOCK_ORACLE_NAMES)
     assert len(kerrpqd.__all__) == len(set(kerrpqd.__all__))
     assert "superposition_pqd" in kerrpqd.__all__

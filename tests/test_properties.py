@@ -270,38 +270,3 @@ def test_negativity_is_non_decreasing_in_the_ordering(state, f1, f2):
     n1, e1 = negativity_volume(state, t1, spec)
     n2, e2 = negativity_volume(state, t2, spec)
     assert n1 <= n2 + e1 + e2
-
-
-def restart_merge(boxes):
-    """Reference box union: merge the first overlapping pair, then rescan."""
-    out = list(boxes)
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(out)):
-            for j in range(i + 1, len(out)):
-                a, b = out[i], out[j]
-                if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]:
-                    out[i] = (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
-                    del out[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    return out
-
-
-def index_box(i0, di, j0, dj):
-    return (i0, i0 + di, j0, j0 + dj)
-
-
-boxes = st.lists(
-    st.builds(index_box, st.integers(0, 40), st.integers(1, 9), st.integers(0, 40), st.integers(1, 9)),
-    max_size=16,
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(boxes=boxes)
-def test_sweep_merge_matches_the_restart_loop(boxes):
-    assert negativity._merge_boxes(boxes) == restart_merge(boxes)

@@ -6,8 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from kerrpqd import negativity, simulability
-from kerrpqd.negativity import negativity_volume
+from kerrpqd import simulability
 from kerrpqd.errors import OrderingTooLow, PreconditionViolated
 from kerrpqd.fock_oracle import (
     build_state,
@@ -374,43 +373,11 @@ def test_mc_checks_negativity_only_above_the_husimi_ordering():
     state, so only t > -1 pays for the negativity volume."""
     state = squeeze_then_kerr_state(3, 1.0, SqueezeParam(0.2))
     noise = NoiseParams(eta_L=0.5, eta_D=0.8, p_D=0.6)  # samplable down to t = -0.5
-    with mock.patch.object(simulability, "_pqd_volume", return_value=(0.0, 0.0)) as volume:
+    with mock.patch.object(simulability, "negativity_volume", return_value=(0.0, 0.0)) as volume:
         estimate_click_probability(state, noise, t=-1.0, n_samples=1000)
         volume.assert_not_called()
         estimate_click_probability(state, noise, t=-0.5, n_samples=1000)
-        volume.assert_called_once()
-    pqd, volume_state = volume.call_args.args
-    assert volume_state is state
-    np.testing.assert_array_equal(pqd.log_pref, superposition_pqd(state, -0.5).log_pref)
-
-
-def test_mc_builds_the_input_pqd_once():
-    """The negativity precondition reuses the sampled PQD, so an estimate
-    above the Husimi ordering builds it once, plus the t = -1 PQD of the
-    Husimi-zero scan; the precondition's volume is negativity_volume's."""
-    state = squeeze_then_kerr_state(2, 0.3, SqueezeParam(0.0))
-    noise = NoiseParams(eta_L=0.5, eta_D=0.8, p_D=0.6)
-    kwargs = dict(t=-0.5, n_samples=1000, seed=3, eps_neg=1e-3)  # N(-0.5) is 1.1e-4
-    plain = estimate_click_probability(state, noise, **kwargs)
-    built = []
-    volumes = []
-
-    def pqd_spy(st, t):
-        built.append(t)
-        return superposition_pqd(st, t)
-
-    def volume_spy(*args, **kwargs):
-        volumes.append(negativity._pqd_volume(*args, **kwargs))
-        return volumes[-1]
-
-    with (
-        mock.patch.object(simulability, "superposition_pqd", pqd_spy),
-        mock.patch.object(negativity, "superposition_pqd", pqd_spy),
-        mock.patch.object(simulability, "_pqd_volume", volume_spy),
-    ):
-        assert estimate_click_probability(state, noise, **kwargs) == plain
-    assert built == [-0.5, -1.0]
-    assert volumes == [negativity_volume(state, -0.5)]
+        volume.assert_called_once_with(state, -0.5)
 
 
 def test_mc_validation():
