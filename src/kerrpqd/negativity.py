@@ -417,10 +417,12 @@ def integrable_ordering_sup(state: SuperpositionState) -> float:
     The ordering enters every branch-pair form as A(t) = A(0) - t I, so
     positive-definiteness of Re A(t) holds exactly for t below the smallest
     eigenvalue of Re A(0) over the pairs; no numerical search is needed.
+    The pairs (q, q') and (q', q) share Re A, so only q <= q' are built, as
+    in superposition_pqd.
     """
     t_sup = math.inf
-    for ket in state.branches:
-        for bra in state.branches:
+    for q, ket in enumerate(state.branches):
+        for bra in state.branches[q:]:
             base = dyadic_char(ket, bra, 0.0)
             lam = float(np.linalg.eigvalsh(base.quad.real)[0])
             t_sup = min(t_sup, lam)

@@ -13,6 +13,11 @@ square step.  Superpositions of squeezed coherent branches contribute one
 such form per branch pair, via the dyadic characteristic function of
 S(xi_k)|alpha><gamma|S(xi_b)^dag; a PqdFunction packs the conjugate pairs.
 
+Every A is 2 x 2, so A^{-1} = R^T A R / det A, and the det(A)^{1/2} the
+Gaussian integral selects is the principal root: with A = S + iT, S > 0,
+det A = det(S) prod_j (1 + i kappa_j) over the eigenvalues kappa_j of
+S^{-1/2} T S^{-1/2}, each factor in the right half-plane, so |arg det A| < pi.
+
 Normalization anchors: vacuum Wigner (2/pi) e^{-2|beta|^2}; coherent-state
 covariance is the identity.
 """
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotIntegrable, OrderingTooHigh
-from .states import Branch, SqueezeParam, SuperpositionState, branch_overlap, compose_squeezing
+from .states import Branch, SqueezeParam, SuperpositionState, _squeezed_coherent_overlap, compose_squeezing
 
 __all__ = [
     "ComplexGaussianForm",
@@ -47,24 +52,14 @@ _LOG2 = math.log(2.0)
 SINGULAR_TOL = 1e-12
 
 
-def _sqrt_det(quad: np.ndarray) -> complex:
-    """det(A)^(1/2) for complex symmetric A with Re(A) > 0.
+def _det(mat):
+    return mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] * mat[..., 1, 0]
 
-    Writing A = S + iT with S positive-definite, det A = det(S) *
-    prod(1 + i kappa_j) over the eigenvalues kappa of S^{-1/2} T S^{-1/2};
-    each factor sits in the right half-plane, so taking principal square
-    roots factor-by-factor is the branch that the Gaussian integral selects.
-    """
+
+def _integrable(quad) -> bool:
+    """Re(quad) positive-definite for every stacked 2 x 2 quad, by leading principal minors."""
     s_part = quad.real
-    t_part = quad.imag
-    vals, vecs = np.linalg.eigh(s_part)
-    if vals[0] <= 0.0:
-        raise NotIntegrable("real part of the quadratic form is not positive-definite")
-    inv_sqrt = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
-    core = inv_sqrt @ t_part @ inv_sqrt
-    kappa = np.linalg.eigvalsh(0.5 * (core + core.T))
-    out = math.exp(0.5 * float(np.sum(np.log(vals))))
-    return out * complex(np.prod(np.sqrt(1.0 + 1j * kappa)))
+    return bool(np.all((s_part[..., 0, 0] > 0.0) & (_det(s_part) > 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,11 +87,7 @@ class ComplexGaussianForm:
 
     def is_integrable(self) -> bool:
         """Re(quad) positive-definite, by leading principal minors."""
-        s_part = self.quad.real
-        for k in (1, 2):
-            if np.linalg.det(s_part[:k, :k]) <= 0.0:
-                return False
-        return True
+        return _integrable(self.quad)
 
     def evaluate(self, points) -> np.ndarray:
         """Complex values at real points of shape (..., 2)."""
@@ -131,6 +122,8 @@ class GaussianState:
         mean = np.asarray(self.mean, dtype=float)
         if cov.shape != (2, 2) or mean.shape != (2,):
             raise ValueError("expected a 2 x 2 covariance and a length-2 mean (one mode)")
+        if not (np.all(np.isfinite(cov)) and np.all(np.isfinite(mean))):
+            raise ValueError("covariance and mean must be finite")
         if float(np.max(np.abs(cov - cov.T))) > 1e-10 * max(1.0, float(np.max(np.abs(cov)))):
             raise ValueError("covariance must be symmetric")
         cov = 0.5 * (cov + cov.T)
@@ -241,14 +234,11 @@ def dyadic_char(ket: Branch, bra: Branch, t: float) -> ComplexGaussianForm:
     d2 = 1j * (sq_k.mu + sq_k.nu * eik) * half
 
     ztc = zt.conjugate()
+    off = ztc * d1 * d2 + (d1 * d2.conjugate()).real
     quad = np.array(
-        [
-            [ztc * d1 * d1 + abs(d1) ** 2 - t, ztc * d1 * d2 + (d1 * d2.conjugate()).real],
-            [0.0, ztc * d2 * d2 + abs(d2) ** 2 - t],
-        ],
+        [[ztc * d1 * d1 + abs(d1) ** 2 - t, off], [off, ztc * d2 * d2 + abs(d2) ** 2 - t]],
         dtype=complex,
     )
-    quad[1, 0] = quad[0, 1]
 
     g = gamma.conjugate()
     a_rot = alpha * half
@@ -256,7 +246,8 @@ def dyadic_char(ket: Branch, bra: Branch, t: float) -> ComplexGaussianForm:
     lin = np.array(
         [u * d1 - a_rot * d1.conjugate(), u * d2 - a_rot * d2.conjugate()], dtype=complex
     )
-    return ComplexGaussianForm(branch_overlap(bra, ket), quad, lin)
+    overlap = cmath.exp(0.25j * phi_t) * _squeezed_coherent_overlap(gamma, xi_t, a_rot)
+    return ComplexGaussianForm(overlap, quad, lin)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +258,10 @@ def dyadic_char(ket: Branch, bra: Branch, t: float) -> ComplexGaussianForm:
 def fourier_transform_form(char: ComplexGaussianForm) -> ComplexGaussianForm:
     """beta-space Gaussian of a characteristic-side Gaussian (exact).
 
-    Completing the square in Int d^2x/pi^2 f(x) e^{i(2 R y).x} gives
+    Completing the square in Int d^2x/pi^2 f(x) e^{i(2 R y).x} gives, with the principal root,
 
-        A' = 4 R^T A^{-1} R,   L' = 2i R^T A^{-1} L,
-        C' = C (2/pi) det(A)^{-1/2} e^{L^T A^{-1} L / 2}.
+        A' = 4 A / det A,   L' = -2i A R L / det A,
+        C' = C (2/pi) det(A)^{-1/2} e^{(R L)^T A (R L) / (2 det A)}.
 
     Raises NotIntegrable when Re(A) is not positive-definite (the PQD at
     this ordering is delta-like, e.g. the P function of a coherent state).
@@ -279,11 +270,10 @@ def fourier_transform_form(char: ComplexGaussianForm) -> ComplexGaussianForm:
         raise NotIntegrable(
             "characteristic function is not Fourier-integrable at this ordering"
         )
-    inv = np.linalg.inv(char.quad)
-    inv = 0.5 * (inv + inv.T)
-    quad = 4.0 * _R_BLOCK.T @ inv @ _R_BLOCK
-    quad = 0.5 * (quad + quad.T)
-    lin = 2j * _R_BLOCK.T @ inv @ char.lin
+    det = complex(_det(char.quad))
+    r_lin = _R_BLOCK @ char.lin
+    quad = (4.0 / det) * char.quad
+    lin = (-2j / det) * (char.quad @ r_lin)
     if char.prefactor == 0.0:
         return ComplexGaussianForm(0.0, quad, lin)
     # the completed square can reach +-1e6 within ~1e-6 of the ordering
@@ -292,8 +282,8 @@ def fourier_transform_form(char: ComplexGaussianForm) -> ComplexGaussianForm:
     log_pref = (
         cmath.log(char.prefactor)
         + math.log(2.0 / math.pi)
-        - cmath.log(_sqrt_det(char.quad))
-        + 0.5 * complex(char.lin @ inv @ char.lin)
+        - 0.5 * cmath.log(det)
+        + 0.5 * complex(r_lin @ char.quad @ r_lin) / det
     )
     if log_pref.real > 700.0:
         raise OrderingTooHigh(
@@ -326,10 +316,7 @@ def superposition_pqd(state: SuperpositionState, t: float) -> "PqdFunction":
     terms = []
     for q, ket in enumerate(state.branches):
         for qp, bra in enumerate(state.branches[q:], start=q):
-            char = dyadic_char(ket, bra, t)
-            if not char.is_integrable():
-                raise NotIntegrable(f"branch pair ({q}, {qp}) is not integrable at t={t!r}")
-            form = fourier_transform_form(char)
+            form = fourier_transform_form(dyadic_char(ket, bra, t))
             scale = form.prefactor * ket.coeff * bra.coeff.conjugate()
             log_pref = cmath.log(scale) if scale != 0.0 else complex(-math.inf)
             if qp == q:
@@ -518,9 +505,10 @@ class PqdFunction:
 
     def analytic_integral(self) -> complex:
         """Int W d^2beta over the whole plane (1 for a normalized state)."""
-        total = 0.0
-        for lp, a, b in zip(self.log_pref, self.quad, self.lin):
-            log_det = cmath.log(_sqrt_det(a))  # raises NotIntegrable first
-            log_gauss = 0.5 * complex(b @ np.linalg.solve(a, b))
-            total += cmath.exp(lp + math.log(2.0 * math.pi) - log_det + log_gauss).real
-        return complex(total)
+        if not _integrable(self.quad):
+            raise NotIntegrable("real part of a term's quadratic form is not positive-definite")
+        det = _det(self.quad)
+        r_lin = self.lin @ _R_BLOCK.T
+        log_gauss = 0.5 * np.einsum("ki,kij,kj->k", r_lin, self.quad, r_lin) / det
+        terms = np.exp(self.log_pref + math.log(2.0 * math.pi) - 0.5 * np.log(det) + log_gauss)
+        return complex(np.sum(terms.real))

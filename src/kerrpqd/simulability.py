@@ -188,7 +188,7 @@ def _as_diag(values, num_modes: int) -> np.ndarray:
 
 def transition_condition(transfer, s_vec, t_vec) -> Verdict:
     """Smallest eigenvalue of I - L^dag L - diag(s) + L^dag diag(t) L."""
-    mat = transfer.matrix if isinstance(transfer, TransferMatrix) else np.asarray(transfer)
+    mat = (transfer if isinstance(transfer, TransferMatrix) else TransferMatrix(transfer)).matrix
     m = mat.shape[0]
     s_mat = _as_diag(s_vec, m)
     t_mat = _as_diag(t_vec, m)

@@ -66,6 +66,8 @@ class SqueezeParam:
     def __post_init__(self):
         if not (self.r >= 0.0 and math.isfinite(self.r)):
             raise ValueError(f"squeeze magnitude must be finite and >= 0, got {self.r}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"squeeze phase must be finite, got {self.phi}")
         object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
         object.__setattr__(self, "r", float(self.r))
 
@@ -176,7 +178,7 @@ def _merge_branches(branches: Iterable[Branch]) -> list:
 
 
 def _order(m) -> int:
-    return m.m if isinstance(m, KerrOrder) else int(m)
+    return (m if isinstance(m, KerrOrder) else KerrOrder(m)).m
 
 
 def kerr_coefficients(m) -> list:

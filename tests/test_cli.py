@@ -297,6 +297,9 @@ def test_bad_state_description_exits_2(capsys):
     code, _, err = run(capsys, "pqd", "--state", "kind=flux_capacitor", "--grid-n", "11")
     assert code == 2
     assert err.startswith("error=validation detail=")
+    code, _, err = run(capsys, "pqd", "--state", "kind=squeezed_vacuum r=0.5 phi=inf", "--grid-n", "11")
+    assert code == 2
+    assert "squeeze phase must be finite, got inf" in err
 
 
 def test_missing_required_flag_exits_2(capsys):

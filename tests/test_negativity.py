@@ -144,6 +144,30 @@ def test_ordering_sup_kerr_state_set_by_squeeze():
     assert integrable_ordering_sup(state) == pytest.approx(math.exp(-0.4) - 1e-6, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "state",
+    [
+        kerr_squeezed_vacuum(3, 1.0),
+        kerr_squeezed_vacuum(5, 0.5),
+        squeeze_then_kerr_state(3, 0.8 + 0.5j, SqueezeParam(0.5, 1.3)),
+        kerr_coherent_state(4, 1.2),
+    ],
+)
+def test_ordering_sup_builds_each_unordered_pair_once(state):
+    """The sup over the K(K+1)/2 pairs q <= q' equals the minimum over all K^2
+    ordered pairs, the reference kept here: (q, q') and (q', q) share Re A."""
+    ref = min(
+        float(np.linalg.eigvalsh(negativity.dyadic_char(ket, bra, 0.0).quad.real)[0])
+        for ket in state.branches
+        for bra in state.branches
+    )
+    with mock.patch.object(negativity, "dyadic_char", wraps=negativity.dyadic_char) as spy:
+        t_sup = integrable_ordering_sup(state)
+    k = len(state.branches)
+    assert spy.call_count == k * (k + 1) // 2
+    assert t_sup == ref - negativity.T_SUP_MARGIN
+
+
 def test_find_threshold_gaussian_returns_sup():
     state = SuperpositionState((Branch(1.0, 0.0, SqueezeParam(0.2)),))
     assert find_threshold(state) == pytest.approx(math.exp(-0.4) - 1e-6, abs=1e-12)

@@ -1,10 +1,12 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
+from kerrpqd import phase_space, states
 from kerrpqd.errors import NotIntegrable, OrderingTooHigh
 from kerrpqd.phase_space import (
     ComplexGaussianForm,
@@ -19,6 +21,8 @@ from kerrpqd.states import (
     Branch,
     SqueezeParam,
     SuperpositionState,
+    compose_squeezing,
+    kerr_squeezed_vacuum,
     squeeze_then_kerr_state,
 )
 from kerrpqd.fock_oracle import build_state, oracle_char
@@ -131,6 +135,12 @@ def test_gaussian_pqd_boundary_raises():
 def test_gaussian_state_rejects_unphysical_covariance():
     with pytest.raises(ValueError):
         GaussianState(0.5 * np.eye(2), np.zeros(2))
+    # NaN fails every comparison, so it needs a check of its own
+    for cov, mean in ((np.full((2, 2), np.nan), np.zeros(2)), (np.eye(2), [np.inf, 0.0])):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState(cov, mean)
+    with pytest.raises(ValueError, match="finite"):
+        GaussianState.squeezed_vacuum(0.5, math.inf)
 
 
 def test_dyadic_char_coherent_reduction():
@@ -239,6 +249,28 @@ def test_superposition_pqd_normalization_and_reality():
         vals = pqd(AXIS[:, None] + 1j * AXIS[None, :])
         assert vals.dtype == np.float64
         assert abs(vals.sum() * (AXIS[1] - AXIS[0]) ** 2 - 1.0) < 1e-4
+
+
+def test_pair_terms_are_built_in_closed_form():
+    """Per branch pair: one squeeze fold and one integrability check; and
+    neither the build nor the total mass calls np.linalg (no inverse or
+    eigen-solver)."""
+    state = kerr_squeezed_vacuum(3, 1.0)
+    pairs = len(state.branches) * (len(state.branches) + 1) // 2
+    folds = mock.Mock(wraps=compose_squeezing)
+    check = ComplexGaussianForm.is_integrable
+    refuse = mock.Mock(side_effect=AssertionError("np.linalg call on the normal path"))
+    linalg = dict.fromkeys(("inv", "det", "eigh", "eigvalsh", "solve"), refuse)
+    with (
+        mock.patch.object(phase_space, "compose_squeezing", folds),
+        mock.patch.object(states, "compose_squeezing", folds),
+        mock.patch.object(ComplexGaussianForm, "is_integrable", autospec=True, side_effect=check) as checks,
+        mock.patch.multiple(np.linalg, **linalg),
+    ):
+        mass = superposition_pqd(state, -0.5).analytic_integral()
+    assert folds.call_count == pairs
+    assert checks.call_count == pairs
+    assert abs(mass - 1.0) < 1e-8
 
 
 def test_superposition_pqd_husimi_floor():

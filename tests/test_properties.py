@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from kerrpqd import negativity, phase_space
 from kerrpqd.negativity import QuadratureSpec, integrable_ordering_sup, negativity_volume
 from kerrpqd.phase_space import (
+    ComplexGaussianForm,
     GaussianState,
     PqdFunction,
     dyadic_char,
@@ -22,6 +23,7 @@ from kerrpqd.states import (
     Branch,
     SqueezeParam,
     SuperpositionState,
+    branch_overlap,
     kerr_squeezed_vacuum,
     squeeze_then_kerr_state,
 )
@@ -60,6 +62,47 @@ def test_swapped_pair_is_the_conjugate_form(ket, bra, frac):
     assert abs(ba.prefactor - ab.prefactor.conjugate()) <= 1e-12 * abs(ab.prefactor)
     assert close(ba.quad, ab.quad.conj(), np.abs(ab.quad).max(), 1e-12)
     assert close(ba.lin, ab.lin.conj(), np.abs(ab.lin).max(), 1e-12)
+
+
+@SETTINGS
+@given(ket=st.builds(Branch, st.just(1.0), alphas, squeezes), bra=st.builds(Branch, st.just(1.0), alphas, squeezes))
+def test_dyadic_prefactor_is_the_branch_overlap(ket, bra):
+    """dyadic_char's xi = 0 value comes from its own squeeze fold, bit for bit."""
+    assert dyadic_char(ket, bra, 0.3).prefactor == branch_overlap(bra, ket)
+
+
+def eigen_sqrt_det(quad) -> complex:
+    """det(A)^{1/2} as the product of the eigenvalues' principal roots.
+
+    Every eigenvalue of A = S + i lam T (S positive-definite) has a positive
+    real part, so along lam each root moves continuously: this is the branch
+    the Gaussian integral selects, computed without det A's own phase.
+    """
+    return complex(np.prod(np.sqrt(np.linalg.eigvals(quad))))
+
+
+@SETTINGS
+@given(
+    log_s=st.lists(st.floats(-8.0, 1.0), min_size=2, max_size=2),
+    angle=st.floats(0.0, math.pi),
+    t_entries=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    log_t=st.floats(-3.0, 4.0),
+)
+def test_fourier_root_of_det_never_jumps(log_s, angle, t_entries, log_t):
+    """Along A(lam) = S + i lam T, lam in [0, 1], the principal det(A)^{1/2} of
+    fourier_transform_form starts at the positive root of det S and stays on
+    the eigenvalue-product branch: |T| up to 1e4, S as near-singular as 1e-8."""
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    s_part = rot @ np.diag(10.0 ** np.array(log_s)) @ rot.T
+    t_part = 10.0**log_t * np.array([[t_entries[0], t_entries[1]], [t_entries[1], t_entries[2]]])
+    for lam in np.concatenate([np.linspace(0.0, 1.0, 33), np.logspace(-12.0, 0.0, 49)]):
+        quad = s_part + 1j * lam * t_part
+        form = fourier_transform_form(ComplexGaussianForm(1.0, quad, np.zeros(2)))
+        root = (2.0 / math.pi) / form.prefactor
+        ref = eigen_sqrt_det(quad)
+        assert abs(root - ref) <= 1e-6 * abs(ref)  # a jump would give -ref
+        if lam == 0.0:
+            assert root.imag == 0.0 and root.real > 0.0
 
 
 def unfolded(state, t, y):

@@ -13,7 +13,7 @@ from kerrpqd.fock_oracle import (
     oracle_loss,
     oracle_off_probability,
 )
-from kerrpqd.phase_space import GaussianState, PqdFunction, _sqrt_det, gaussian_pqd, superposition_pqd
+from kerrpqd.phase_space import GaussianState, PqdFunction, gaussian_pqd, superposition_pqd
 from kerrpqd.simulability import (
     NoiseParams,
     TransferMatrix,
@@ -155,6 +155,13 @@ def test_transition_margin_is_a_psd_certificate():
 def test_transition_vector_length_mismatch():
     with pytest.raises(ValueError):
         transition_condition(np.zeros((2, 2)), [0.0, 0.0, 0.0], [0.0, 0.0])
+
+
+def test_transition_checks_a_raw_matrix_as_a_transfer_matrix():
+    """A plain array gets TransferMatrix's singular-value check, so a gain is
+    refused rather than given a margin."""
+    with pytest.raises(ValueError, match="singular value"):
+        transition_condition(3.0 * np.eye(2), [0.0, 0.0], [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +510,9 @@ def test_streamed_sampler_repeats_the_two_pass_stream(name, size):
 @pytest.mark.parametrize("seed", range(4))
 def test_sampler_mean_matches_the_closed_form(seed):
     """At t = -1 the PQD is non-negative, so the samples' mean is
-    sum_k Re[mass_k A_k^-1 b_k] over the terms f_k = e^{c_k - y^T A_k y/2 + b_k^T y}."""
+    sum_k Re[mass_k A_k^-1 b_k] over the terms f_k = e^{c_k - y^T A_k y/2 + b_k^T y}.
+    det(A_k)^{1/2} is the product of the eigenvalues' principal roots: each
+    eigenvalue of a complex symmetric A with Re A > 0 has a positive real part."""
     gen = np.random.default_rng(seed)
     state = squeeze_then_kerr_state(
         2 + seed % 2,
@@ -515,7 +524,8 @@ def test_sampler_mean_matches_the_closed_form(seed):
     mean = np.zeros(2)
     for lp, a, b in zip(pqd.log_pref, pqd.quad, pqd.lin):
         a_inv_b = np.linalg.solve(a, b)
-        mass = cmath.exp(lp + math.log(2.0 * math.pi) - cmath.log(_sqrt_det(a)) + 0.5 * complex(b @ a_inv_b))
+        sqrt_det = complex(np.prod(np.sqrt(np.linalg.eigvals(a))))
+        mass = cmath.exp(lp + math.log(2.0 * math.pi) - cmath.log(sqrt_det) + 0.5 * complex(b @ a_inv_b))
         total += mass.real
         mean += (mass * a_inv_b).real
     n = 200_000

@@ -56,6 +56,26 @@ def test_kerr_order_validation():
         KerrOrder(0)
 
 
+@pytest.mark.parametrize("m", [2.7, 2.0, 0, -1])
+def test_kerr_states_check_a_plain_order(m):
+    """A plain number goes through KerrOrder's check: no silent int(2.7) = 2,
+    and no ZeroDivisionError for m = 0."""
+    for build in (
+        lambda: kerr_coherent_state(m, 1.0),
+        lambda: squeeze_then_kerr_state(m, 1.0, SqueezeParam(0.2)),
+        lambda: kerr_squeezed_vacuum(m, 0.5),
+        lambda: kerr_coefficients(m),
+    ):
+        with pytest.raises(ValueError, match="Kerr order"):
+            build()
+
+
+def test_squeeze_param_rejects_a_non_finite_phase():
+    for phi in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            SqueezeParam(0.5, phi)
+
+
 def test_kerr_coefficients_m1_is_identity():
     coeffs = kerr_coefficients(1)
     assert len(coeffs) == 1
