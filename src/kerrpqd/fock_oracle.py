@@ -295,49 +295,43 @@ def oracle_husimi(state: np.ndarray, re_axis, im_axis) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pure_loss(rho: np.ndarray, eta: float) -> np.ndarray:
-    """Kraus sum K_k = sqrt((1-eta)^k / k!) eta^{n/2} a^k."""
-    dim = rho.shape[0]
-    a = annihilation(dim - 1)
-    half_n = np.arange(dim) / 2.0
-    damp = eta ** (half_n[:, None] + half_n[None, :])
-    out = np.zeros_like(rho)
-    current = rho.copy()
-    factor = 1.0
-    for k in range(dim):
-        if k > 0:
-            current = a @ current @ a.conj().T
-            factor *= (1.0 - eta) / k
-            if factor * float(np.abs(np.trace(current)).real) < 1e-18:
-                out += damp * (factor * current)
-                break
-        out += damp * (factor * current)
-    return out
-
-
 def oracle_loss(rho: np.ndarray, eta: float, nbar: float = 0.0) -> np.ndarray:
     """Bosonic loss channel with transmissivity eta into a bath at nbar.
 
-    nbar = 0 uses the Kraus sum; nbar > 0 mixes with a truncated thermal
-    environment on a beam splitter of angle arccos(sqrt(eta)) and traces it
-    out.
+    A beam splitter of angle arccos(sqrt(eta)) mixes the mode with a thermal
+    bath whose input is cut below 1e-12 occupation.  It conserves the total
+    photon number N, so it is exponentiated on each block |N - k, k>, with
+    k bath photons (output not cut) and N - k below the mode's cutoff.  Bath
+    level e in and k out is the one-entry-per-column Kraus matrix
+    K[i + e - k, i] = <i + e - k, k|U|i, e>, so K rho K^dag is rho times an
+    outer product, shifted e - k along the diagonal; one sum per shift.
     """
     rho = density_matrix(rho)
     if not 0.0 < eta <= 1.0:
         raise ValueError("loss transmissivity must lie in (0, 1]")
-    if nbar == 0.0:
-        return _pure_loss(rho, eta) if eta < 1.0 else rho
+    if not (math.isfinite(nbar) and nbar >= 0.0):
+        raise ValueError("bath occupation nbar must be finite and >= 0")
     q = nbar / (1.0 + nbar)
     n_env = int(math.ceil(math.log(1e-12) / math.log(q))) if q > 0 else 0
     env = q ** np.arange(n_env + 1)
     env /= env.sum()
     dim = rho.shape[0]
-    a_full = np.kron(annihilation(dim - 1), np.eye(n_env + 1))
-    b_full = np.kron(np.eye(dim), annihilation(n_env))
     theta = math.acos(math.sqrt(eta))
-    mixer = expm(theta * (a_full.conj().T @ b_full - a_full @ b_full.conj().T))
-    joint = mixer @ np.kron(rho, np.diag(env).astype(complex)) @ mixer.conj().T
-    return np.einsum("iaja->ij", joint.reshape(dim, n_env + 1, dim, n_env + 1))
+    # amp[e, shift + dim - 1, i] = <i + shift, e - shift|U|i, e>
+    amp = np.zeros((n_env + 1, 2 * dim - 1, dim))
+    for total in range(n_env + dim):
+        k = np.arange(max(0, total - dim + 1), total + 1)
+        # theta (a^dag b - a b^dag) couples |N - k, k> to |N - k + 1, k - 1>
+        hop = theta * np.sqrt((total - k[1:] + 1.0) * k[1:])
+        block = expm(np.diag(hop, 1) - np.diag(hop, -1))
+        e = k[k <= n_env][:, None]  # bath input levels, one row each
+        amp[e, e - k + dim - 1, total - e] = block[:, e[:, 0] - k[0]].T
+    out = np.zeros_like(rho)
+    for shift in range(1 - dim, dim):
+        lo, hi = max(0, -shift), dim - max(0, shift)
+        cols = amp[:, shift + dim - 1, lo:hi]
+        out[lo + shift : hi + shift, lo + shift : hi + shift] += (cols.T * env) @ cols * rho[lo:hi, lo:hi]
+    return out
 
 
 def oracle_off_probability(rho: np.ndarray, noise: NoiseParams) -> float:

@@ -65,8 +65,8 @@ class NoiseParams:
             raise ValueError("detector efficiency eta_D must lie in (0, 1]")
         if not 0.0 <= self.p_D <= 1.0:
             raise ValueError("dark-count probability p_D must lie in [0, 1]")
-        if not self.nbar >= 0.0:
-            raise ValueError("environment occupation nbar must be >= 0")
+        if not (math.isfinite(self.nbar) and self.nbar >= 0.0):
+            raise ValueError("environment occupation nbar must be finite and >= 0")
 
     @property
     def k(self) -> float:
@@ -200,6 +200,8 @@ def transition_condition(transfer, s_vec, t_vec) -> Verdict:
 
 def uniform_threshold_verdict(noise: NoiseParams, tbar: float) -> Verdict:
     """Uniform-loss sufficient condition 2 p_D/eta_D - eta_L + eta_L t_bar >= 0."""
+    if not math.isfinite(tbar):
+        raise ValueError(f"ordering threshold tbar must be finite, got {tbar!r}")
     margin = 2.0 * noise.p_D / noise.eta_D - noise.eta_L + noise.eta_L * tbar
     return _verdict("uniform_threshold", margin)
 
@@ -274,23 +276,29 @@ def _rejection_sampler(pqd: PqdFunction):
     its envelope, so every draw is accepted.
 
     Each batch draws its component counts, then all its normals in one
-    call, which each component's rows turn into its Gaussian in place.  The
+    call into a buffer that later batches reuse, and each component's rows
+    are turned into its Gaussian in place.  The
     proposals then go through the PQD chunk by chunk: one kernel pass
     (pqd(beta, envelope=...)) gives W and the envelope, the chunk's
     uniforms are drawn, and its accepted rows move to the front of the
     batch.  Random numbers are drawn in the order multinomial, normals,
     uniforms per batch, then the permutation that cuts the accepted rows to
-    `size`; this is the stream of one full-batch pass.
+    `size`; this is the stream of one full-batch pass.  The first batch
+    proposes max(size, 4096) points, each later one enough for the missing
+    points at the envelope's acceptance.
     """
     peaks, centers, precs = pqd.envelopes()
     covs = np.linalg.inv(precs)
     chols = np.linalg.cholesky(0.5 * (covs + np.swapaxes(covs, 1, 2)))
     masses = peaks * 2.0 * math.pi / np.sqrt(np.linalg.det(precs))
     weights = masses / math.fsum(masses)
+    # a proposal is accepted with probability int max(W, 0) / sum(masses),
+    # exactly 1 / sum(masses) where W >= 0 (t = -1) and at least that above
+    accept = 1.0 / math.fsum(masses)
 
-    def propose(rng: np.random.Generator, batch: int) -> np.ndarray:
-        counts = rng.multinomial(batch, weights)
-        ys = rng.standard_normal((batch, 2))
+    def propose(rng: np.random.Generator, ys: np.ndarray) -> np.ndarray:
+        counts = rng.multinomial(len(ys), weights)
+        rng.standard_normal(out=ys)
         off = 0
         for idx, cnt in enumerate(counts):
             z = ys[off : off + cnt]
@@ -314,15 +322,23 @@ def _rejection_sampler(pqd: PqdFunction):
             hits = np.compress(u <= w_vals, rows, axis=0)
             ys[kept : kept + len(hits)] = hits
             kept += len(hits)
-        # a copy, so that the batch's buffer is freed before the next batch
+        # a copy, so that the next batch can reuse the buffer
         return ys[:kept].copy()
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        got = []
-        have = 0
+        buf = np.empty((max(size, 4096), 2))
+        got = [accepted(rng, propose(rng, buf))]
+        have = len(got[0])
         while have < size:
-            got.append(accepted(rng, propose(rng, max(size, 4096))))
+            # enough proposals that the missing points come in with four
+            # standard deviations to spare: (m + 4 sqrt(m) + 16) / accept
+            missing = size - have
+            batch = max(math.ceil((missing + 4.0 * math.sqrt(missing) + 16.0) / accept), 4096)
+            if batch > len(buf):
+                buf = np.empty((batch, 2))
+            got.append(accepted(rng, propose(rng, buf[:batch])))
             have += len(got[-1])
+        del buf
         # each batch is laid out component by component, so cut a random
         # subset, not the tail, or the last components lose their points
         cat = np.concatenate(got) if len(got) > 1 else got[0]

@@ -157,6 +157,20 @@ def test_simulability_requires_a_bound(capsys):
     assert err.startswith("error=validation detail=")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulability", "--eta-l", "0.5", "--nbar", "inf"),
+        ("simulability", "--tbar", "nan"),
+        ("sweep", "--grid-n", "3", "--tbar", "nan"),
+    ],
+)
+def test_non_finite_noise_inputs_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error=validation detail=")
+
+
 def test_sweep_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep", "--grid-n", "3", "--out", str(out))

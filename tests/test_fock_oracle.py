@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from kerrpqd.errors import CutoffTooSmall
 from kerrpqd.phase_space import GaussianState, gaussian_pqd
@@ -194,18 +195,55 @@ def test_loss_channel_on_coherent():
 
 
 def test_loss_channel_thermal_moments():
-    """eta = 0.7, nbar = 0.5 on |1>: first moment sqrt(eta), added noise
-    (lambda - 1)/2 photons with lambda = eta + (2 nbar + 1)(1 - eta)."""
+    """On |1>: first moment sqrt(eta), added noise (lambda - 1)/2 photons
+    with lambda = eta + (2 nbar + 1)(1 - eta).  A bath cut at its own
+    occupation misses both at nbar = 1e-6: it cannot take the lost photons."""
     n_max = 60
-    eta, nbar = 0.7, 0.5
-    rho = oracle_loss(coherent_vector(1.0, n_max), eta, nbar)
     a = annihilation(n_max)
-    first = np.trace(rho @ a)
-    photons = np.trace(rho @ (a.conj().T @ a)).real
-    lam = eta + (2 * nbar + 1) * (1 - eta)
-    assert abs(first - math.sqrt(eta)) < 1e-8
-    assert abs(photons - (eta + (lam - 1) / 2)) < 1e-8
-    assert abs(np.trace(rho).real - 1.0) < 1e-10
+    for eta, nbar in ((0.7, 0.5), (0.7, 1e-6)):
+        rho = oracle_loss(coherent_vector(1.0, n_max), eta, nbar)
+        first = np.trace(rho @ a)
+        photons = np.trace(rho @ (a.conj().T @ a)).real
+        lam = eta + (2 * nbar + 1) * (1 - eta)
+        assert abs(first - math.sqrt(eta)) < 1e-8
+        assert abs(photons - (eta + (lam - 1) / 2)) < 1e-8
+        assert abs(np.trace(rho).real - 1.0) < 1e-10
+
+
+def joint_space_loss(rho, eta, nbar):
+    """The loss channel as one expm on the mode (x) bath space, the bath's
+    input cut as in oracle_loss and its output at n_env + n_max, so that
+    nothing the photon-number blocks keep is truncated."""
+    dim = rho.shape[0]
+    q = nbar / (1.0 + nbar)
+    n_env = int(math.ceil(math.log(1e-12) / math.log(q))) if q > 0 else 0
+    bath = n_env + dim
+    env = np.zeros(bath)
+    env[: n_env + 1] = q ** np.arange(n_env + 1)
+    env /= env.sum()
+    a_full = np.kron(annihilation(dim - 1), np.eye(bath))
+    b_full = np.kron(np.eye(dim), annihilation(bath - 1))
+    theta = math.acos(math.sqrt(eta))
+    mixer = expm(theta * (a_full.conj().T @ b_full - a_full @ b_full.conj().T))
+    joint = mixer @ np.kron(rho, np.diag(env)) @ mixer.conj().T
+    return np.einsum("iaja->ij", joint.reshape(dim, bath, dim, bath))
+
+
+@pytest.mark.parametrize("nbar", [0.0, 1e-6, 0.5])
+def test_loss_channel_matches_the_joint_space_exponential(nbar):
+    n_max = 12
+    gen = np.random.default_rng(3)
+    amps = gen.standard_normal((n_max + 1, 3)) + 1j * gen.standard_normal((n_max + 1, 3))
+    rho = amps @ amps.conj().T
+    rho /= np.trace(rho).real
+    got = oracle_loss(rho, 0.6, nbar)
+    assert np.max(np.abs(got - joint_space_loss(rho, 0.6, nbar))) < 1e-12
+
+
+@pytest.mark.parametrize("nbar", [-2.0, -0.5, math.inf, math.nan])
+def test_loss_channel_rejects_a_negative_or_non_finite_bath(nbar):
+    with pytest.raises(ValueError, match="nbar"):
+        oracle_loss(coherent_vector(1.0, 20), 0.7, nbar)
 
 
 def test_off_probability_closed_forms():

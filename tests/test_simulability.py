@@ -45,6 +45,8 @@ def test_noise_params_validation():
         dict(p_D=-0.2),
         dict(p_D=1.01),
         dict(nbar=-1.0),
+        dict(nbar=math.inf),
+        dict(nbar=math.nan),
     ):
         with pytest.raises(ValueError):
             NoiseParams(**bad)
@@ -183,6 +185,12 @@ def test_uniform_threshold_boundaries():
         assert at.margin == 0.0 and at.simulable
         below = uniform_threshold_verdict(NoiseParams(eta_l, eta_d, p_crit - 1e-3), tbar)
         assert below.margin < 0.0 and not below.simulable
+
+
+@pytest.mark.parametrize("tbar", [math.nan, math.inf, -math.inf])
+def test_uniform_threshold_rejects_a_non_finite_tbar(tbar):
+    with pytest.raises(ValueError, match="tbar"):
+        uniform_threshold_verdict(NoiseParams(0.9, 0.8, 0.05), tbar)
 
 
 def test_coherent_class_always_simulable():
@@ -406,6 +414,16 @@ def test_mc_interference_state_unbiased_at_a_million_samples():
     assert abs(p - ref) < 3.0 * se
 
 
+@pytest.mark.parametrize("nbar", [0.3, 1.0])
+def test_mc_thermal_bath_matches_the_fock_oracle(nbar):
+    """The kernel's thermal noise against the oracle's loss into a bath at nbar."""
+    state = squeeze_then_kerr_state(3, 1.0, SqueezeParam(0.2))
+    noise = NoiseParams(eta_L=0.8, eta_D=0.6, p_D=1.05 * 0.48, nbar=nbar)
+    p, se = estimate_click_probability(state, noise, t=-1.0, n_samples=200_000, seed=13)
+    ref = oracle_off_probability(oracle_loss(build_state(state, n_max=60), noise.eta_L, nbar), noise)
+    assert abs(p - ref) < 4.0 * se
+
+
 def per_term_envelope(pqd, beta):
     """sum_k peak_k e^{-(y-c_k)^T S_k (y-c_k)/2}, term by term from envelopes()."""
     peaks, centers, precs = pqd.envelopes()
@@ -439,19 +457,27 @@ def test_mc_sampler_envelope_is_the_per_term_gaussian_sum():
     assert kernel == gaussians
 
 
-def two_pass_draw(pqd, rng, size):
+def two_pass_draw(pqd, rng, size, batches=None):
     """The full-batch sampler that the streamed one replaced: per-component
     normals, W and then the envelope over the whole batch, one uniform draw
-    per batch, and a permutation of the accepted rows."""
+    per batch, and a permutation of the accepted rows.  The first batch
+    proposes max(size, 4096) points, a later one (m + 4 sqrt(m) + 16) sum(masses)
+    for m missing points, at least 4096; `batches` collects the sizes."""
     peaks, centers, precs = pqd.envelopes()
     covs = np.linalg.inv(precs)
     chols = np.linalg.cholesky(0.5 * (covs + np.swapaxes(covs, 1, 2)))
     masses = peaks * 2.0 * math.pi / np.sqrt(np.linalg.det(precs))
     weights = masses / math.fsum(masses)
+    accept = 1.0 / math.fsum(masses)
     got = []
     have = 0
     while have < size:
         batch = max(size, 4096)
+        if got:
+            missing = size - have
+            batch = max(math.ceil((missing + 4.0 * math.sqrt(missing) + 16.0) / accept), 4096)
+        if batches is not None:
+            batches.append(batch)
         counts = rng.multinomial(batch, weights)
         ys = np.empty((batch, 2))
         off = 0
@@ -484,12 +510,21 @@ class CountingPqd:
         return self.pqd(beta, envelope=envelope)
 
 
+class ThinnedPqd(CountingPqd):
+    """W / 3 under the same envelope: a third of the acceptance that the
+    masses promise, so every batch after the first falls short."""
+
+    def __call__(self, beta, envelope=None):
+        return super().__call__(beta, envelope=envelope) / 3.0
+
+
 CURVE_STATE = squeeze_then_kerr_state(3, 1.0, SqueezeParam(0.2))
 STREAM_PQDS = {
     "two-branch cat": superposition_pqd(squeeze_then_kerr_state(2, 1.2, SqueezeParam(0.0)), -1.0),
     "curve state": superposition_pqd(CURVE_STATE, -1.0),
     "paired, t=-0.5": superposition_pqd(squeeze_then_kerr_state(4, 1.1, SqueezeParam(0.1)), -0.5),
     "one term": gaussian_pqd(GaussianState.squeezed_coherent(0.4 - 0.3j, SqueezeParam(0.3, 1.0)), -0.5),
+    "thinned curve state": ThinnedPqd(superposition_pqd(CURVE_STATE, -1.0)),
 }
 
 
@@ -498,13 +533,24 @@ STREAM_PQDS = {
 def test_streamed_sampler_repeats_the_two_pass_stream(name, size):
     pqd = STREAM_PQDS[name]
     for seed in (0, 1, 2):
-        ref = two_pass_draw(pqd, np.random.default_rng(seed), size)
+        batches = []
+        ref = two_pass_draw(pqd, np.random.default_rng(seed), size, batches)
         counting = CountingPqd(pqd)
         got = simulability._rejection_sampler(counting)(np.random.default_rng(seed), size)
         assert got.shape == (size, 2)
         assert np.array_equal(got, ref)
-    if name == "paired, t=-0.5" and size == 4096:
-        assert counting.points >= 3 * 4096  # three or more batches
+        assert counting.points == sum(batches)
+    if name == "thinned curve state" and size == 50_000:
+        assert len(batches) >= 3
+
+
+def test_later_batches_propose_only_the_missing_points():
+    """At t = -1 with acceptance 0.998, 10^6 samples need the first batch
+    of 10^6 and one more of 4096, not a second batch of 10^6."""
+    pqd = CountingPqd(superposition_pqd(squeeze_then_kerr_state(2, 2.5, SqueezeParam(0.0)), -1.0))
+    ys = simulability._rejection_sampler(pqd)(np.random.default_rng(0), 1_000_000)
+    assert ys.shape == (1_000_000, 2)
+    assert pqd.points == 1_000_000 + 4096
 
 
 @pytest.mark.parametrize("seed", range(4))
